@@ -19,26 +19,12 @@
 //!   the first point, and consecutive setup times growing no faster
 //!   than `SCALE_SETUP_FACTOR` (default 1.5) times the pair-count ratio
 //!   — the guard against the superlinear setup cliff fixed in PR 9.
-//! * `scale --verify-workers` — determinism check instead of a sweep:
-//!   each `SCALE_VERIFY_PAIRS` point (default `4096,16384`) runs at
-//!   `workers = 1` and `workers = 2` and the serialized reports must be
-//!   byte-identical; exit 1 on any drift. A streaming point
-//!   (`SCALE_VERIFY_STREAM_GROUPS` fan-out 4 groups, default 1024, on
-//!   the same multi-leaf fabric) rides along so the M:N window/ack
-//!   machinery is covered by the same worker-identity gate.
 //! * `SCALE_PAIRS` — comma-separated pair counts
 //!   (default `4096,16384,65536,131072`; CI runs `4096,16384` with the
 //!   tighter `SCALE_EPS_FACTOR=2.0` and a 1e6 `SCALE_MIN_EPS` floor).
 //! * `SCALE_FRAMES` — frames per pair (default 3).
 //! * `SCALE_MIN_EPS` — absolute sim-phase events/s floor applied to
 //!   every point (default 0 = disabled).
-//! * `SCALE_PREFAULT_MB` — size of an optional one-shot page prefault
-//!   before the sweep (default 0 = off). The PR 8 harness hit a
-//!   superlinear 128k setup cliff (0.54 s -> 5.7 s from 64k -> 128k)
-//!   from kernel minor-fault cost past ~2 GB of heap; the sharded
-//!   calendar's flatter allocation profile removed the cliff outright,
-//!   and the prefault measured as a net loss (see EXPERIMENTS.md), so
-//!   it survives only as an experiment knob.
 //!
 //! The default `SCALE_EPS_FACTOR` of 4.0 reflects measured behavior on
 //! a 1-vCPU host: throughput holds ≥1M events/s through 16k pairs, then
@@ -54,8 +40,7 @@
 //! path with one arena across the sweep, like the campaign executor.
 //! `peak_rss_bytes` is the absolute `VmHWM` after each point; the
 //! per-pair gate uses the counting-allocator high-water delta instead,
-//! so the gate is unaffected by allocator-level overcommit (and by the
-//! opt-in prefault, which pins `VmHWM` at the prefault size).
+//! so the gate is unaffected by allocator-level overcommit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -64,8 +49,8 @@ use mdflow::prelude::*;
 
 /// Counting wrapper over the system allocator: total allocation calls
 /// plus live-byte current/high-water marks, so the sweep can report
-/// allocs/event and attribute heap growth per point even when the page
-/// prefault saturates `VmHWM`.
+/// allocs/event and attribute heap growth per point independently of
+/// `VmHWM`.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -166,38 +151,6 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Optional one-shot page prefault: touch every page of a large
-/// allocation once, up front, and leak it so the pages stay mapped.
-/// Kept as an experiment knob, **default off**: with the sharded
-/// calendar the 128k setup cliff is gone without it, and a measured A/B
-/// (see EXPERIMENTS.md) shows the resident prefault *costs* ~25% of
-/// sim-phase throughput at the small points (TLB/page-table pressure
-/// from ~1M extra resident pages) while buying nothing at the top
-/// point. `black_box` stops LLVM from deleting the dead writes.
-fn prefault(_max_pairs: u32) {
-    let mb = std::env::var("SCALE_PREFAULT_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    if mb == 0 {
-        return;
-    }
-    let bytes = (mb as usize) * 1024 * 1024;
-    let t0 = std::time::Instant::now();
-    let mut v: Vec<u8> = vec![0; bytes];
-    let mut i = 0;
-    while i < v.len() {
-        v[i] = 1;
-        i += 4096;
-    }
-    std::hint::black_box(&mut v);
-    std::mem::forget(v);
-    println!(
-        "  [prefaulted {mb} MiB in {:.2}s]",
-        t0.elapsed().as_secs_f64()
-    );
 }
 
 /// The sweep workload: DYAD on a quiet testbed (no PFS interference
@@ -363,90 +316,6 @@ fn enforce(points: &[Point]) -> bool {
     ok
 }
 
-/// Canonical serialized report for the worker-identity check: every
-/// trajectory-derived field, in a fixed order, no wall-clock noise.
-fn report_bytes(m: &RunMetrics) -> String {
-    let staging = serde_json::to_string(&m.staging).expect("staging json");
-    let streaming = serde_json::to_string(&m.streaming).expect("streaming json");
-    format!(
-        "{{\"makespan_ns\":{},\"events\":{},\"staging\":{staging},\
-         \"streaming\":{streaming},\
-         \"kvs_commits\":{},\"kvs_lookups\":{},\"kvs_waits\":{}}}",
-        m.makespan.nanos(),
-        m.events,
-        m.kvs.commits,
-        m.kvs.lookups,
-        m.kvs.waits,
-    )
-}
-
-/// `--verify-workers`: the staging pool must be behavior-invisible.
-/// Each point runs at `workers = 1` and `workers = 2`; the serialized
-/// reports must be byte-identical. Returns false on any drift.
-fn verify_workers(frames: u64) -> bool {
-    let pairs_list: Vec<u32> = std::env::var("SCALE_VERIFY_PAIRS")
-        .unwrap_or_else(|_| "4096,16384".to_string())
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .expect("SCALE_VERIFY_PAIRS entries must be u32")
-        })
-        .collect();
-    let mut ok = true;
-    for pairs in pairs_list {
-        let (wf, cal) = workload(pairs, frames);
-        ok &= verify_point(&format!("{pairs} pairs"), &wf, &cal);
-    }
-    // Streaming point: fan-out 4 groups on the same oversubscribed
-    // leaf/spine fabric, packed 8 processes per node so the group spans
-    // several leaves — the M:N window/ack release path must be just as
-    // worker-invisible as the DYAD pipeline.
-    let groups: u32 = std::env::var("SCALE_VERIFY_STREAM_GROUPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024);
-    let wf = WorkflowConfig::new(
-        Solution::Streaming,
-        groups,
-        Placement::Split { pairs_per_node: 8 },
-    )
-    .with_frames(frames)
-    .with_fanout(4);
-    let (_, cal) = workload(groups, frames);
-    ok &= verify_point(&format!("{groups} stream groups (fanout 4)"), &wf, &cal);
-    ok
-}
-
-/// One worker-identity comparison: run `wf` at `workers ∈ {1, 2}` and
-/// require byte-identical serialized reports.
-fn verify_point(label: &str, wf: &WorkflowConfig, cal: &Calibration) -> bool {
-    let mut reports = Vec::new();
-    for workers in [1usize, 2] {
-        let snap = ClusterSnapshot::prepare(wf, cal, 0x5CA1E).with_workers(workers);
-        let shards = snap.sim_config(0x5CA1E).shards;
-        let mut arena = RunArena::new();
-        let (m, _) = run_once_warm(&snap, 0x5CA1E, &mut arena);
-        println!(
-            "  {label:>7} workers={workers} ({shards} shards): makespan {} ns, {} events",
-            m.makespan.nanos(),
-            m.events
-        );
-        reports.push(report_bytes(&m));
-    }
-    if reports[0] == reports[1] {
-        println!("  {label:>7}: workers=2 report byte-identical to workers=1");
-        true
-    } else {
-        eprintln!(
-            "scale: VERIFY FAIL {label}: workers=2 drifted from workers=1\n  \
-             w1: {}\n  w2: {}",
-            reports[0], reports[1]
-        );
-        false
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag_value = |flag: &str| -> Option<String> {
@@ -468,17 +337,7 @@ fn main() {
         "SCALE_PAIRS must be ascending (the heap attribution depends on it)"
     );
 
-    if args.iter().any(|a| a == "--verify-workers") {
-        println!("SCALE — worker-pool determinism check");
-        if !verify_workers(frames) {
-            std::process::exit(1);
-        }
-        println!("  worker identity: OK");
-        return;
-    }
-
     println!("SCALE — leaf/spine scale-ceiling benchmark");
-    prefault(*pairs_list.last().expect("SCALE_PAIRS must be non-empty"));
     let heap_base = HEAP_HWM.load(Relaxed);
     let mut arena = RunArena::new();
     let mut points = Vec::new();

@@ -101,20 +101,6 @@ impl FabricSpec {
         }
     }
 
-    /// Minimum simulated time for an event on one leaf to influence
-    /// another leaf — the conservative window lookahead. A cross-leaf
-    /// message pays the per-message overhead plus four wire hops
-    /// (node→leaf→spine→leaf→node) before anything remote can observe
-    /// it; a flat fabric pays overhead plus two hops. Lookahead only
-    /// sizes staging windows (batching); correctness never depends on
-    /// it.
-    pub fn shard_lookahead(&self) -> SimDuration {
-        match self.topology {
-            TopologySpec::Flat => self.msg_overhead + self.hop_latency * 2,
-            TopologySpec::LeafSpine { .. } => self.msg_overhead + self.hop_latency * 4,
-        }
-    }
-
     /// Same spec with a different switch topology.
     pub fn with_topology(mut self, topology: TopologySpec) -> Self {
         if let TopologySpec::LeafSpine {

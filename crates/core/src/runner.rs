@@ -253,10 +253,8 @@ pub fn run_once_traced(
     (metrics, tracer)
 }
 
-/// Traced run against a prepared snapshot, honoring the snapshot's
-/// worker count. This is what the worker-identity fixtures drive: the
-/// returned tracer's Chrome JSON must be byte-identical for any
-/// [`ClusterSnapshot::with_workers`] value.
+/// [`run_once_traced`] against an already prepared snapshot, also
+/// returning the run's wall-clock setup/sim split.
 pub fn run_once_traced_snap(
     snap: &ClusterSnapshot,
     seed: u64,

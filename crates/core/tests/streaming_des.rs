@@ -5,12 +5,9 @@
 //! release path, and the M:N group spawn order are all required to be
 //! pure functions of the seed. These tests pin that guarantee:
 //!
-//! * `workers = 1` replays freshly captured pinned schedules for
-//!   fan-out ∈ {1, 4} on both a `Flat` fabric and a genuinely
-//!   multi-leaf `LeafSpine` fabric — makespans and event counts
-//!   exactly.
-//! * `workers ∈ {1, 2, 4}` produce byte-identical serialized reports
-//!   *and* byte-identical Chrome traces on the fan-out 4 scenario.
+//! * runs replay freshly captured pinned schedules for fan-out ∈
+//!   {1, 4} on both a `Flat` fabric and a genuinely multi-leaf
+//!   `LeafSpine` fabric — makespans and event counts exactly.
 //! * `fanout = 1` is pinned against DYAD as a shape regression: same
 //!   staging, same rendezvous, so per-frame consumption must stay in
 //!   the same amortized regime.
@@ -33,7 +30,7 @@ const MULTI_LEAF: TopologySpec = TopologySpec::LeafSpine {
 };
 
 /// Pinned `(fanout, topo, makespan_ns, events)` captures for the
-/// current model, workers = 1.
+/// current model.
 const PINS: &[(u32, Topo, u64, u64)] = &[
     (1, Topo::Flat, 11_471_638_645, 11_193),
     (4, Topo::Flat, 11_505_111_950, 23_581),
@@ -67,31 +64,11 @@ fn calibration(topo: Topo) -> Calibration {
     cal
 }
 
-/// Canonical serialized report for byte comparison: every field a
-/// worker could perturb, in a fixed order (the parallel-DES shape plus
-/// the streaming totals).
-fn report_bytes(m: &RunMetrics) -> String {
-    let staging = serde_json::to_string(&m.staging).expect("staging json");
-    let streaming = serde_json::to_string(&m.streaming).expect("streaming json");
-    format!(
-        "{{\"makespan_ns\":{},\"events\":{},\"producers\":{},\"consumers\":{},\
-         \"staging\":{staging},\"streaming\":{streaming},\
-         \"kvs_commits\":{},\"kvs_lookups\":{},\"kvs_waits\":{}}}",
-        m.makespan.nanos(),
-        m.events,
-        m.producers.len(),
-        m.consumers.len(),
-        m.kvs.commits,
-        m.kvs.lookups,
-        m.kvs.waits,
-    )
-}
-
-/// `workers = 1` replays the pinned streaming schedules exactly, on the
+/// Runs replay the pinned streaming schedules exactly, on the
 /// degenerate single-shard `Flat` fabric and on a multi-leaf
 /// `LeafSpine` fabric alike, at fan-out 1 and 4.
 #[test]
-fn streaming_workers1_replays_pinned_schedules() {
+fn streaming_replays_pinned_schedules() {
     for &(fanout, topo, makespan_ns, events) in PINS {
         let wf = workflow(fanout);
         let cal = calibration(topo);
@@ -121,33 +98,6 @@ fn streaming_workers1_replays_pinned_schedules() {
             m.makespan.nanos(),
             m.events,
         );
-    }
-}
-
-/// Worker-pool identity on the fan-out 4 multi-leaf scenario: for
-/// `workers ∈ {1, 2, 4}` the serialized report *and* the full Chrome
-/// trace are byte-identical.
-#[test]
-fn streaming_worker_pool_reports_and_traces_are_byte_identical() {
-    let wf = workflow(4);
-    let cal = calibration(Topo::MultiLeaf);
-    let mut baseline: Option<(String, String)> = None;
-    for workers in [1usize, 2, 4] {
-        let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A).with_workers(workers);
-        assert!(
-            snap.sim_config(SEED).shards > 2,
-            "scenario must actually shard for the pool to engage"
-        );
-        let (metrics, _, tracer) = run_once_traced_snap(&snap, SEED, std::time::Instant::now());
-        let report = report_bytes(&metrics);
-        let trace = tracer.to_chrome_json();
-        match &baseline {
-            None => baseline = Some((report, trace)),
-            Some((r1, t1)) => {
-                assert_eq!(&report, r1, "workers={workers}: serialized report drifted");
-                assert_eq!(&trace, t1, "workers={workers}: Chrome trace drifted");
-            }
-        }
     }
 }
 
