@@ -276,19 +276,14 @@ pub struct WorkflowConfig {
     pub streaming: StreamingConfig,
     /// Deterministic fault-injection plan (disabled by default).
     pub faults: FaultConfig,
-    /// KVS metadata-plane shards (`--kvs-shards N`). 1 = the legacy
-    /// single broker; >1 partitions the frame namespace across N
+    /// KVS metadata-plane shards (`--kvs-shards N`). 1 = a single
+    /// broker; >1 partitions the frame namespace across N
     /// brokers by rendezvous hash (DYAD solutions only).
     pub kvs_shards: u32,
     /// KVS replication factor (`--kvs-replication R`). 1 = unreplicated;
     /// R>1 synchronously replicates every commit to the key's top-R
     /// shards as causally-ordered deltas, enabling shard failover.
     pub kvs_replication: u32,
-    /// Test knob: run the mesh plane even at shards=1, R=1 (used by the
-    /// determinism fixtures to prove a one-shard mesh reproduces the
-    /// legacy single-broker schedule exactly).
-    #[serde(skip)]
-    pub kvs_force_mesh: bool,
     /// Optional variable-rate frame schedule (overrides the fixed
     /// stride-based cadence; see [`crate::schedule::FrameSchedule`]).
     #[serde(skip)]
@@ -321,7 +316,6 @@ impl WorkflowConfig {
             faults: FaultConfig::default(),
             kvs_shards: 1,
             kvs_replication: 1,
-            kvs_force_mesh: false,
             schedule: None,
         }
     }
@@ -434,12 +428,12 @@ impl WorkflowConfig {
         self
     }
 
-    /// Whether this run uses the mesh metadata plane (any sharding or
-    /// replication beyond the legacy single broker, or the forced-mesh
-    /// test knob).
+    /// Whether the metadata plane is more than one unreplicated broker
+    /// (any sharding or replication). Only such runs draw shard-crash
+    /// events into generated fault plans; a single broker's plans keep
+    /// their pre-mesh events.
     pub fn kvs_mesh_enabled(&self) -> bool {
-        self.solution.needs_kvs()
-            && (self.kvs_shards > 1 || self.kvs_replication > 1 || self.kvs_force_mesh)
+        self.solution.needs_kvs() && (self.kvs_shards > 1 || self.kvs_replication > 1)
     }
 
     /// Mean seconds between frames for this configuration (the

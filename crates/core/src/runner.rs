@@ -7,7 +7,7 @@ use std::time::Instant;
 use cluster::{Cluster, NodeId};
 use dyad::DyadService;
 use instrument::Profile;
-use kvs::{KvsClient, KvsHandle, KvsMesh, KvsServer};
+use kvs::{KvsClient, KvsMesh};
 use localfs::LocalFs;
 use mdsim::StepClock;
 use pfs::{LdlmClient, LdlmServer, LdlmSpec, ParallelFs};
@@ -156,7 +156,8 @@ pub struct FaultTotals {
 /// broker shard (all zero for solutions without a KVS).
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct KvsTotals {
-    /// Broker shards the run used (1 = the legacy single broker).
+    /// Broker shards the run used (1 = a single broker; 0 for solutions
+    /// without a KVS).
     pub shards: u32,
     /// Replication factor (1 = unreplicated).
     pub replication: u32,
@@ -365,34 +366,18 @@ fn run_prepared(
             fs
         })
         .collect();
-    // Metadata plane: the legacy single broker on node 0, or the sharded
-    // mesh when the workflow opts in. Shard s is colocated on compute
-    // node (s % n_compute), which puts shard 0 exactly where the legacy
-    // broker lives — a forced one-shard mesh replays the legacy schedule.
-    let kvs_mesh = if wf.solution.needs_kvs() && wf.kvs_mesh_enabled() {
+    // Metadata plane: a mesh of `kvs_shards` brokers for every KVS
+    // solution. Shard s is colocated on compute node (s % n_compute), so
+    // the default single broker is shard 0 on node 0.
+    let kvs_mesh = wf.solution.needs_kvs().then(|| {
         let shard_nodes: Vec<NodeId> = (0..wf.kvs_shards)
             .map(|s| NodeId(s % n_compute as u32))
             .collect();
-        Some(KvsMesh::start(
-            &ctx,
-            &tp,
-            &shard_nodes,
-            cal.kvs,
-            wf.kvs_replication,
-        ))
-    } else {
-        None
-    };
-    let kvs_server = if wf.solution.needs_kvs() && kvs_mesh.is_none() {
-        Some(KvsServer::start(&ctx, &tp, NodeId(0), cal.kvs))
-    } else {
-        None
-    };
-    let kvs_client = |node: u32| -> KvsHandle {
-        match &kvs_mesh {
-            Some(mesh) => mesh.client(&ctx, &tp, NodeId(node)).into(),
-            None => KvsClient::new(&ctx, &tp, NodeId(node), NodeId(0), cal.kvs).into(),
-        }
+        KvsMesh::start(&ctx, &tp, &shard_nodes, cal.kvs, wf.kvs_replication)
+    });
+    let kvs_client = |node: u32| -> KvsClient {
+        let mesh = kvs_mesh.as_ref().expect("solution runs without a KVS");
+        mesh.client(&ctx, &tp, NodeId(node))
     };
     let pfs = pfs_nodes.map(|(mds, osts)| ParallelFs::start(&ctx, &tp, mds, osts, cal.pfs));
     // One staging manager per compute node for the staged backends
@@ -872,12 +857,7 @@ fn run_prepared(
         for s in 0..mesh.shards() {
             kvs_totals.absorb(&mesh.shard_stats(s));
         }
-    } else if let Some(srv) = &kvs_server {
-        kvs_totals.shards = 1;
-        kvs_totals.replication = 1;
-        kvs_totals.absorb(&srv.stats());
     }
-    drop(kvs_server);
     drop(kvs_mesh);
     // Worker-invariant per-shard load summary, read out before the
     // arena teardown clears the counters.

@@ -32,7 +32,7 @@ use bytes::Bytes;
 use dyad::{DyadConsumer, DyadError, DyadService, FrameLocation, FrameMeta};
 use faults::FaultBoard;
 use instrument::{Profile, Recorder};
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::LocalFs;
 use mdsim::{FrameHeader, FrameTemplate, StepClock};
 use pfs::{LdlmClient, LockMode, PfsClient};
@@ -611,7 +611,7 @@ pub async fn consumer_manual(
 pub async fn producer_dyad_on_pfs(
     args: ProducerArgs,
     storage: Storage,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     owner: cluster::NodeId,
     rng_stream: u64,
 ) -> Profile {
@@ -674,7 +674,7 @@ pub async fn producer_dyad_on_pfs(
 pub async fn consumer_dyad_on_pfs(
     args: ConsumerArgs,
     storage: Storage,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     warm_sync: bool,
 ) -> Profile {
     let rec = Recorder::traced(

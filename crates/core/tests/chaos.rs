@@ -94,8 +94,8 @@ fn fault_classes(solution: Solution) -> Vec<(&'static str, FaultKind)> {
                 broker: None,
             },
         ),
-        // Scoped variant: addressed to broker 0 explicitly. Under the
-        // legacy single broker (shard 0) this must behave like a global
+        // Scoped variant: addressed to broker 0 explicitly. Under a
+        // single broker (shard 0) this must behave like a global
         // delay; under a mesh it would slow only that shard.
         (
             "kvs_delay_scoped",
@@ -353,8 +353,9 @@ fn same_seed_chaos_runs_produce_byte_identical_reports() {
 ///   a live replica holding an acked copy, clients fail over, parked
 ///   waits are flushed and re-parked on replicas — the campaign heals
 ///   and completes with every frame consumed.
-/// * Legacy single broker: the same crash takes the whole metadata
-///   plane down. The workflow must *terminate* through the typed
+/// * Single broker (a one-shard mesh): the same crash takes the whole
+///   metadata plane down, and the fallible calls fail typed without an
+///   RPC to the dead shard. The workflow must *terminate* through the typed
 ///   failure path (counted produce/consume failures), never hang.
 ///
 /// Both legs are asserted byte-stable per seed across the CI seed set.
@@ -401,7 +402,7 @@ fn shard_kill_heals_replicated_mesh_but_terminates_single_broker() {
             "seed {seed}: mesh leg event count drifted"
         );
 
-        // Leg B: legacy single broker (it *is* shard 0), same crash.
+        // Leg B: a single broker (it *is* shard 0), same crash.
         let single = base(Solution::Dyad).with_faults(FaultConfig::scheduled(vec![FaultEvent {
             at: ms(1000),
             kind: FaultKind::KvsShardCrash { shard: 0 },
@@ -502,38 +503,60 @@ fn disabled_fault_config_leaves_runs_bit_identical() {
 /// An *armed* fault board whose only event lands an hour after the
 /// workload finishes must not perturb the trajectory: the retrying
 /// wrappers and recovery hooks are pure overhead-free pass-throughs
-/// until a window actually opens.
+/// until a window actually opens. Checked for every backend on a single
+/// broker, and for DYAD and streaming on a 4-shard R=2 mesh, whose
+/// clients route around dead shards only once one dies.
 #[test]
 fn armed_board_with_out_of_window_plan_preserves_makespan() {
     let cal = Calibration::quiet();
-    for solution in [
+    let single = [
         Solution::Dyad,
         Solution::Lustre,
         Solution::Xfs,
         Solution::Streaming,
-    ] {
-        let plain = base(solution);
-        let late = base(solution).with_faults(FaultConfig::scheduled(vec![FaultEvent {
-            at: SimDuration::from_secs_f64(3600.0),
-            kind: FaultKind::NodeCrash {
-                node: 0,
-                down_for: ms(100),
-            },
-        }]));
+    ]
+    .map(|s| (s, 1, 1));
+    let meshed = [Solution::Dyad, Solution::Streaming].map(|s| (s, 4, 2));
+    for (solution, shards, replication) in single.into_iter().chain(meshed) {
+        let row = format!("{solution:?} {shards} shards R={replication}");
+        let plain = base(solution)
+            .with_kvs_shards(shards)
+            .with_kvs_replication(replication);
+        let late = plain
+            .clone()
+            .with_faults(FaultConfig::scheduled(vec![FaultEvent {
+                at: SimDuration::from_secs_f64(3600.0),
+                kind: FaultKind::NodeCrash {
+                    node: 0,
+                    down_for: ms(100),
+                },
+            }]));
         let a = run_once(&plain, &cal, 5);
         let b = run_once(&late, &cal, 5);
         assert_eq!(
             a.makespan, b.makespan,
-            "{solution:?}: armed-but-idle board changed the makespan"
+            "{row}: armed-but-idle board changed the makespan"
         );
         assert_eq!(
-            serde_json::to_string(&a.staging).unwrap(),
-            serde_json::to_string(&b.staging).unwrap(),
-            "{solution:?}: armed-but-idle board changed staging counters"
+            a.events, b.events,
+            "{row}: armed-but-idle board changed the event count"
+        );
+        let totals = |m: &RunMetrics| {
+            [
+                serde_json::to_string(&m.staging).unwrap(),
+                serde_json::to_string(&m.kvs).unwrap(),
+                serde_json::to_string(&m.streaming).unwrap(),
+                serde_json::to_string(&m.faults).unwrap(),
+            ]
+        };
+        assert_eq!(
+            totals(&a),
+            totals(&b),
+            "{row}: armed-but-idle board changed the staging/kvs/streaming/faults totals"
         );
         assert_eq!(
             b.faults.injected, 0,
-            "{solution:?}: out-of-window event fired inside the run"
+            "{row}: out-of-window event fired inside the run"
         );
     }
 }

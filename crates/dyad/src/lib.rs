@@ -32,7 +32,7 @@ use bytes::Bytes;
 use cluster::NodeId;
 use faults::RetryPolicy;
 use instrument::Recorder;
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::{FsResult, LocalFs, LockKind};
 use pfs::PfsClient;
 use rand::rngs::StdRng;
@@ -176,7 +176,7 @@ pub struct DyadService {
     ctx: Ctx,
     node: NodeId,
     fs: LocalFs,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     ep: Endpoint,
     spec: Rc<DyadSpec>,
     staging: Option<Rc<StagingManager>>,
@@ -191,7 +191,7 @@ impl DyadService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: DyadSpec,
     ) -> Rc<DyadService> {
         Self::start_staged(ctx, tp, node, fs, kvs, spec, None)
@@ -208,7 +208,7 @@ impl DyadService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: DyadSpec,
         staging: Option<Rc<StagingManager>>,
     ) -> Rc<DyadService> {
@@ -222,7 +222,7 @@ impl DyadService {
             ctx: ctx.clone(),
             node,
             fs: fs.clone(),
-            kvs: kvs.into(),
+            kvs,
             ep: tp.endpoint(node),
             spec: spec.clone(),
             staging,
@@ -928,12 +928,13 @@ async fn cold_wait(svc: &Rc<DyadService>, rec: &Recorder, path: &str) -> kvs::Ve
     }
 }
 
-/// Record the poll count, plus a per-shard breakdown when the key lives
-/// on a mesh, so the metadata-plane sweep can attribute poll load to
-/// individual broker shards.
+/// Record the poll count, plus a per-shard breakdown when the metadata
+/// plane has more than one shard, so the metadata-plane sweep can
+/// attribute poll load to individual broker shards.
 fn annotate_polls(svc: &Rc<DyadService>, rec: &Recorder, path: &str, polls: u64) {
     rec.annotate("kvs_polls", polls as f64);
-    if let Some(shard) = svc.kvs.mesh_shard_of(path) {
+    if svc.kvs.topology().shards() > 1 {
+        let shard = svc.kvs.shard_of(path);
         rec.annotate(&format!("kvs_polls_shard{shard}"), polls as f64);
     }
 }

@@ -103,7 +103,7 @@ pub enum FaultKind {
     /// rest of the run. Replicated meshes fail over; a single broker
     /// terminates through the typed-failure path.
     KvsShardCrash {
-        /// Shard index (0 = the legacy single broker).
+        /// Shard index (0 = a single broker).
         shard: u32,
     },
 }
@@ -212,7 +212,7 @@ pub struct ChaosSpec {
     /// uniformly in `[0.5, 1.5] × mean`).
     pub mean_window_frac: f64,
     /// Number of KVS broker shards eligible for `KvsShardCrash`
-    /// (0 disables the class — the legacy single broker is never killed
+    /// (0 disables the class — a single broker is never killed
     /// by a generated plan, only by a scheduled one).
     pub n_kvs_shards: u32,
 }

@@ -12,7 +12,7 @@ use simcore::intern::{intern, Symbol};
 ///
 /// Keys are interned [`Symbol`]s: the client interns each key exactly
 /// once at the API boundary and every later hop (request struct, broker
-/// store, client cache) hashes a 4-byte id instead of re-hashing the
+/// store, watch table) hashes a 4-byte id instead of re-hashing the
 /// full path. The *wire* still carries the resolved string bytes, so
 /// message lengths — and therefore fabric costs — are exactly those of
 /// the string protocol.

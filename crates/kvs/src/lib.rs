@@ -4,13 +4,17 @@
 //! consumers block on key availability (`flux_kvs_wait`-style). This crate
 //! reimplements the parts DYAD needs:
 //!
-//! * a **broker** ([`KvsServer`]) hosted on one cluster node, with a
-//!   versioned store (every commit bumps a global sequence number), a
+//! * **brokers** ([`KvsServer`]) hosted on cluster nodes, each with a
+//!   versioned store (every commit bumps the shard's sequence number), a
 //!   bounded pool of service threads, and **server-side watches** (a
-//!   `WaitKey` RPC parks inside the broker until the key is committed);
-//! * **clients** ([`KvsClient`]) on every node, issuing RPCs over the
-//!   UCX-like [`transport`] layer, with an optional read cache and a
-//!   client-side polling fallback (used by the synchronization ablation).
+//!   `WaitKey` RPC parks inside the broker until the key is committed).
+//!   A single broker is shard 0 of a one-shard [`KvsMesh`]; [`mesh`]
+//!   runs the same server as N sharded, replicated shards;
+//! * one **client** ([`KvsClient`]) per node, issuing RPCs over the
+//!   UCX-like [`transport`] layer. It routes each key to the first live
+//!   shard of the key's preference list, fails over down that list on
+//!   the fallible `try_*` paths, and offers a client-side polling
+//!   fallback (used by the synchronization ablation).
 //!
 //! All costs are explicit: each operation pays the fabric round trip plus
 //! broker service time on a FIFO server pool.
@@ -21,17 +25,14 @@ mod codec;
 pub mod mesh;
 
 pub use codec::{Request, Response};
-pub use mesh::{
-    preference_list, shard_for, CausalBuffer, Delta, KvsHandle, KvsMesh, MeshKvsClient,
-    MeshTopology,
-};
+pub use mesh::{preference_list, shard_for, CausalBuffer, Delta, KvsMesh, MeshTopology};
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NodeId;
-use faults::RetryPolicy;
+use faults::{FaultBoard, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simcore::intern::{intern, FxHashMap, Symbol};
@@ -88,12 +89,12 @@ pub struct KvsStats {
     pub waits_parked: u64,
     /// Unlink requests served.
     pub unlinks: u64,
-    /// Replication deltas shipped to peer shards (mesh mode).
+    /// Replication deltas shipped to peer shards (replicated meshes).
     pub deltas_sent: u64,
-    /// Replication deltas applied to this shard's store (mesh mode).
+    /// Replication deltas applied to this shard's store.
     pub deltas_applied: u64,
     /// Deltas that arrived out of causal order and had to buffer until
-    /// their parents applied (mesh mode).
+    /// their parents applied.
     pub deltas_buffered: u64,
     /// Peak number of requests simultaneously queued or in service on
     /// this broker (the metadata-plane congestion signal).
@@ -113,8 +114,8 @@ pub(crate) struct Store {
     pub(crate) down: bool,
     /// Requests queued or in service right now (feeds `peak_queue`).
     in_flight: u64,
-    /// Per-key version vectors + out-of-order delta buffer (mesh mode;
-    /// idle for a legacy single broker).
+    /// Per-key version vectors + out-of-order delta buffer (idle unless
+    /// the mesh replicates, R > 1).
     pub(crate) repl: mesh::CausalBuffer<Symbol>,
 }
 
@@ -126,27 +127,28 @@ pub struct KvsServer {
 }
 
 impl KvsServer {
-    /// Start a broker on `node`, registering its AM handler.
+    /// Start a single broker on `node`, registering its AM handler.
     ///
-    /// The standalone broker is shard 0 of a one-shard mesh: it listens
-    /// on [`KVS_AM`], never replicates, and dies to a
+    /// The single broker is shard 0 of a one-shard mesh: it listens on
+    /// [`KVS_AM`], never replicates, and dies to a
     /// `KvsShardCrash { shard: 0 }` fault.
     pub fn start(ctx: &Ctx, tp: &Transport, node: NodeId, spec: KvsSpec) -> Rc<KvsServer> {
-        KvsServer::start_shard(ctx, tp, node, spec, 0, None)
+        let topo = Rc::new(MeshTopology::new(vec![node], 1));
+        KvsServer::start_shard(ctx, tp, spec, 0, topo)
     }
 
-    /// Start one shard of a mesh (or, with `topo: None`, the legacy
-    /// standalone broker as shard `shard`). The shard listens on
-    /// `KVS_AM + shard` and, when a topology is given, synchronously
-    /// replicates every commit/unlink to the key's live replica set.
+    /// Start shard `shard` of the mesh `topo` on its node. The shard
+    /// listens on `KVS_AM + shard` and, when the mesh replicates,
+    /// synchronously replicates every commit/unlink to the key's live
+    /// replica set.
     pub(crate) fn start_shard(
         ctx: &Ctx,
         tp: &Transport,
-        node: NodeId,
         spec: KvsSpec,
         shard: u32,
-        topo: Option<Rc<mesh::MeshTopology>>,
+        topo: Rc<MeshTopology>,
     ) -> Rc<KvsServer> {
+        let node = topo.node(shard);
         let store = Rc::new(RefCell::new(Store {
             map: FxHashMap::default(),
             version: 0,
@@ -185,7 +187,6 @@ impl KvsServer {
         // leak the store (see `Transport::downgrade`).
         let handler_tp = tp.downgrade();
         let handler_ctx = ctx.clone();
-        let handler_topo = topo;
         tp.register_am(
             node,
             mesh::shard_am(shard),
@@ -194,7 +195,7 @@ impl KvsServer {
                 let service = service.clone();
                 let tp = handler_tp.upgrade();
                 let ctx = handler_ctx.clone();
-                let topo = handler_topo.clone();
+                let topo = topo.clone();
                 Box::pin(async move {
                     {
                         let mut st = store.borrow_mut();
@@ -214,10 +215,8 @@ impl KvsServer {
                     let req = Request::decode(raw);
                     let resp = if store.borrow().down {
                         Response::ShardDown
-                    } else if let Some(topo) = &topo {
-                        mesh::serve(&store, shard, topo, &tp, req).await
                     } else {
-                        handle(store.clone(), req).await
+                        mesh::serve(&store, shard, &topo, &tp, req).await
                     };
                     store.borrow_mut().in_flight -= 1;
                     resp.encode()
@@ -232,7 +231,7 @@ impl KvsServer {
         self.node
     }
 
-    /// The shard id this broker serves (0 for a standalone broker).
+    /// The shard id this broker serves (0 for a single broker).
     pub fn shard(&self) -> u32 {
         self.shard
     }
@@ -263,195 +262,129 @@ impl KvsServer {
     }
 }
 
-pub(crate) async fn handle(store: Rc<RefCell<Store>>, req: Request) -> Response {
-    match req {
-        Request::Commit { key, value } => {
-            let mut st = store.borrow_mut();
-            st.version += 1;
-            let version = st.version;
-            st.map.insert(key, VersionedValue { version, value });
-            st.stats.commits += 1;
-            if let Some(n) = st.watches.remove(&key) {
-                n.notify_all();
-            }
-            Response::Committed { version }
-        }
-        Request::Lookup { key } => {
-            let mut st = store.borrow_mut();
-            st.stats.lookups += 1;
-            let found = st.map.get(&key).cloned();
-            match found {
-                Some(v) => Response::Value {
-                    version: v.version,
-                    value: v.value,
-                },
-                None => Response::NotFound,
-            }
-        }
-        Request::WaitKey { key } => {
-            let mut first = true;
-            loop {
-                let notify = {
-                    let mut st = store.borrow_mut();
-                    // The shard died while this wait was parked; its
-                    // watch was flushed so it can answer typed instead
-                    // of parking forever.
-                    if st.down {
-                        return Response::ShardDown;
-                    }
-                    if let Some(v) = st.map.get(&key).cloned() {
-                        st.stats.waits += 1;
-                        return Response::Value {
-                            version: v.version,
-                            value: v.value,
-                        };
-                    }
-                    if first {
-                        st.stats.waits_parked += 1;
-                        first = false;
-                    }
-                    st.watches.entry(key).or_default().clone()
-                };
-                notify.wait().await;
-            }
-        }
-        Request::Unlink { key } => {
-            let mut st = store.borrow_mut();
-            st.map.remove(&key);
-            st.stats.unlinks += 1;
-            Response::Unlinked
-        }
-        Request::Delta { .. } => panic!("replication delta sent to a standalone broker"),
-    }
-}
-
-/// A client handle bound to one node.
+/// The KVS client bound to one node.
+///
+/// Every operation goes to the first *live* shard of the key's
+/// preference list (the owner while it is up). The plain calls send one
+/// RPC there; the fallible `try_*` calls retry through outages per the
+/// retry policy and, when a shard is dead or exhausts its budget, fail
+/// over down the preference list. A single broker is the one-shard case
+/// of the same routing.
 #[derive(Clone)]
 pub struct KvsClient {
     ctx: Ctx,
-    ep: Endpoint,
-    broker: NodeId,
-    am: AmId,
-    spec: KvsSpec,
-    cache: Rc<RefCell<FxHashMap<Symbol, VersionedValue>>>,
-    retry: RetryPolicy,
-    /// Retry policy for server-side waits: same backoff, but no
-    /// per-attempt timeout (the RPC legitimately parks in the broker
-    /// until the key is committed).
-    wait_retry: RetryPolicy,
-    rng: Rc<RefCell<StdRng>>,
+    topo: Rc<MeshTopology>,
+    shards: Rc<[ShardStub]>,
+    board: Option<FaultBoard>,
+    poll_interval: SimDuration,
 }
 
 impl KvsClient {
-    /// Create a client on `node` talking to the broker on `broker`.
+    /// Create a client on `node` talking to the single broker on
+    /// `broker` (see [`KvsServer::start`]).
     pub fn new(ctx: &Ctx, tp: &Transport, node: NodeId, broker: NodeId, spec: KvsSpec) -> Self {
-        KvsClient::new_with_am(ctx, tp, node, broker, KVS_AM, spec)
+        let topo = Rc::new(MeshTopology::new(vec![broker], 1));
+        KvsClient::on_mesh(ctx, tp, node, topo, spec)
     }
 
-    /// Create a client addressing a specific broker AM (a mesh shard
-    /// listens on `KVS_AM + shard`). The RNG stream is the same for
-    /// every shard client of a node: jitter draws are per-instance, and
-    /// keeping shard 0 on the legacy stream is what lets a one-shard
-    /// mesh reproduce the single-broker schedule exactly.
-    pub(crate) fn new_with_am(
+    /// Create a client on `node` for the mesh described by `topo`.
+    pub(crate) fn on_mesh(
         ctx: &Ctx,
         tp: &Transport,
         node: NodeId,
-        broker: NodeId,
-        am: AmId,
+        topo: Rc<MeshTopology>,
         spec: KvsSpec,
     ) -> Self {
-        let retry = RetryPolicy::transport_default();
-        let wait_retry = RetryPolicy {
-            attempt_timeout: SimDuration::from_secs(86_400),
-            ..retry
-        };
+        let shards = (0..topo.shards())
+            .map(|s| ShardStub::new(ctx, tp, node, topo.node(s), mesh::shard_am(s)))
+            .collect();
         KvsClient {
             ctx: ctx.clone(),
-            ep: tp.endpoint(node),
-            broker,
-            am,
-            spec,
-            cache: Rc::default(),
-            retry,
-            wait_retry,
-            rng: Rc::new(RefCell::new(ctx.rng(0x4B56_0000u64 | u64::from(node.0)))),
+            topo,
+            shards,
+            board: tp.faults(),
+            poll_interval: spec.poll_interval,
         }
     }
 
-    /// The broker node this client talks to.
-    pub fn broker(&self) -> NodeId {
-        self.broker
+    /// The mesh topology this client routes over.
+    pub fn topology(&self) -> &MeshTopology {
+        &self.topo
     }
 
-    /// Fork a per-call RNG from the client's stream so no `RefCell`
-    /// borrow is held across an await (clients are shared between tasks).
-    fn fork_rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.rng.borrow_mut().random())
+    /// The owner shard of `key` (where per-shard poll counts are
+    /// attributed).
+    pub fn shard_of(&self, key: &str) -> u32 {
+        self.topo.owner(key)
     }
 
-    /// Commit `value` under `key`; returns the new global version.
+    fn live(&self, shard: u32) -> bool {
+        match &self.board {
+            Some(b) => b.kvs_shard_up(shard),
+            None => true,
+        }
+    }
+
+    /// The shard an operation on `key` is routed to: the first live
+    /// member of the preference list (the owner when healthy), or the
+    /// owner if the whole list is dead (the op then fails typed). At
+    /// R = 1 the list is the owner alone.
+    fn route(&self, key: &str) -> u32 {
+        if self.topo.replication() == 1 {
+            return self.topo.owner(key);
+        }
+        let pref = self.topo.preference(key);
+        pref.iter()
+            .copied()
+            .find(|&s| self.live(s))
+            .unwrap_or(pref[0])
+    }
+
+    /// A plain request: one RPC to the routed shard, whose response is
+    /// returned as is (including `ShardDown`).
+    async fn call(&self, key: &str, req: Request) -> Response {
+        self.shards[self.route(key) as usize].send(req).await
+    }
+
+    /// A fallible request with preference-list failover: each live
+    /// replica is tried with its full retry budget; errors only when
+    /// every replica is exhausted or down.
+    async fn try_call(&self, key: &str, req: Request) -> Result<Response, TransportError> {
+        let mut last = Err(TransportError::Unreachable {
+            node: self.topo.node(self.topo.owner(key)),
+        });
+        for s in self.topo.preference(key) {
+            if !self.live(s) {
+                continue;
+            }
+            match self.shards[s as usize].try_send(req.clone()).await {
+                Ok(resp) => return Ok(resp),
+                Err(e) => last = Err(e),
+            }
+        }
+        last
+    }
+
+    /// Commit `value` under `key`; returns the shard's new version.
     pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        let key = intern(key);
-        let req = Request::Commit {
-            key,
-            value: value.clone(),
-        };
-        let resp = Response::decode(self.ep.rpc(self.broker, self.am, req.encode()).await);
-        match resp {
-            Response::Committed { version } => {
-                self.cache
-                    .borrow_mut()
-                    .insert(key, VersionedValue { version, value });
-                version
-            }
-            other => panic!("unexpected commit response {other:?}"),
-        }
+        committed(self.call(key, commit_req(key, value)).await)
     }
 
-    /// Read `key` from the broker (always a round trip; updates the
-    /// cache).
+    /// Read `key` (always a round trip).
     pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        let key = intern(key);
-        let req = Request::Lookup { key };
-        let resp = Response::decode(self.ep.rpc(self.broker, self.am, req.encode()).await);
-        match resp {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                Some(v)
-            }
-            Response::NotFound => None,
-            other => panic!("unexpected lookup response {other:?}"),
-        }
-    }
-
-    /// Read `key` from the local cache only (no simulated cost). Used on
-    /// DYAD's warm synchronization path.
-    pub fn lookup_cached(&self, key: &str) -> Option<VersionedValue> {
-        self.cache.borrow().get(&intern(key)).cloned()
+        found(self.call(key, Request::Lookup { key: intern(key) }).await)
     }
 
     /// Block until `key` exists, using a **server-side watch**: one RPC
     /// that parks in the broker. This is DYAD's cold-path synchronization.
     pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        let key = intern(key);
-        let req = Request::WaitKey { key };
-        let resp = Response::decode(self.ep.rpc(self.broker, self.am, req.encode()).await);
-        match resp {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                v
-            }
-            other => panic!("unexpected wait response {other:?}"),
-        }
+        woken(self.call(key, Request::WaitKey { key: intern(key) }).await)
     }
 
     /// Block until `key` exists by **client-side polling** every
-    /// [`KvsSpec::poll_interval`]. Each probe is a full lookup RPC. Used
-    /// by the synchronization-protocol ablation; returns the value and the
-    /// number of polls issued.
+    /// [`KvsSpec::poll_interval`]. Each probe is a full lookup RPC,
+    /// routed per poll. Used by the synchronization ablation; returns
+    /// the value and the number of polls issued.
     pub async fn wait_key_poll(&self, key: &str) -> (VersionedValue, u64) {
         let mut polls = 0;
         loop {
@@ -459,111 +392,47 @@ impl KvsClient {
             if let Some(v) = self.lookup(key).await {
                 return (v, polls);
             }
-            self.ctx.sleep(self.spec.poll_interval).await;
+            self.ctx.sleep(self.poll_interval).await;
         }
     }
 
-    /// Remove `key` on the broker and locally.
+    /// Remove `key`.
     pub async fn unlink(&self, key: &str) {
-        let key = intern(key);
-        let req = Request::Unlink { key };
-        let _ = self.ep.rpc(self.broker, self.am, req.encode()).await;
-        self.cache.borrow_mut().remove(&key);
+        self.call(key, Request::Unlink { key: intern(key) }).await;
     }
 
-    /// Fallible [`KvsClient::commit`]: retries through broker outages per
-    /// the client's retry policy; errors only once the budget is
-    /// exhausted. Commits are idempotent (last-writer-wins on the same
-    /// key), so a retry after a lost reply is safe.
+    /// Fallible [`KvsClient::commit`]. Commits are idempotent
+    /// (last-writer-wins on the same key), so a retry after a lost reply
+    /// is safe.
     pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        let key = intern(key);
-        let req = Request::Commit {
-            key,
-            value: value.clone(),
-        };
-        let mut rng = self.fork_rng();
-        let raw = self
-            .ep
-            .rpc_retrying(self.broker, self.am, req.encode(), &self.retry, &mut rng)
-            .await?;
-        match Response::decode(raw) {
-            Response::Committed { version } => {
-                self.cache
-                    .borrow_mut()
-                    .insert(key, VersionedValue { version, value });
-                Ok(version)
-            }
-            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
-            other => panic!("unexpected commit response {other:?}"),
-        }
+        self.try_call(key, commit_req(key, value))
+            .await
+            .map(committed)
     }
 
-    /// Fallible [`KvsClient::lookup`] with retry.
+    /// Fallible [`KvsClient::lookup`].
     pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        let key = intern(key);
-        let req = Request::Lookup { key };
-        let mut rng = self.fork_rng();
-        let raw = self
-            .ep
-            .rpc_retrying(self.broker, self.am, req.encode(), &self.retry, &mut rng)
-            .await?;
-        match Response::decode(raw) {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                Ok(Some(v))
-            }
-            Response::NotFound => Ok(None),
-            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
-            other => panic!("unexpected lookup response {other:?}"),
-        }
+        self.try_call(key, Request::Lookup { key: intern(key) })
+            .await
+            .map(found)
     }
 
-    /// Fallible [`KvsClient::wait_key`] with retry. Uses the wait policy
-    /// (no per-attempt timeout): the RPC parks server-side until the key
-    /// is committed, so only unreachability triggers a retry.
+    /// Fallible [`KvsClient::wait_key`]. Uses the wait policy (no
+    /// per-attempt timeout): the RPC parks server-side until the key is
+    /// committed, so only unreachability triggers a retry. A wait parked
+    /// on a shard that then crashes is flushed with `ShardDown` and
+    /// re-parked on the next live replica (which the synchronous
+    /// replication protocol guarantees will see the commit).
     pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        let key = intern(key);
-        let req = Request::WaitKey { key };
-        let mut rng = self.fork_rng();
-        let raw = self
-            .ep
-            .rpc_retrying(
-                self.broker,
-                self.am,
-                req.encode(),
-                &self.wait_retry,
-                &mut rng,
-            )
-            .await?;
-        match Response::decode(raw) {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                Ok(v)
-            }
-            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
-            other => panic!("unexpected wait response {other:?}"),
-        }
+        self.try_call(key, Request::WaitKey { key: intern(key) })
+            .await
+            .map(woken)
     }
 
-    /// Fallible [`KvsClient::wait_key_poll`] with retry: each probe is a
-    /// fallible lookup, so broker outages shorter than the retry budget
-    /// are absorbed inside the poll loop.
-    pub async fn try_wait_key_poll(
-        &self,
-        key: &str,
-    ) -> Result<(VersionedValue, u64), TransportError> {
-        match self.try_wait_key_poll_counted(key).await {
-            (Ok(v), polls) => Ok((v, polls)),
-            (Err(e), _) => Err(e),
-        }
-    }
-
-    /// Like [`KvsClient::try_wait_key_poll`], but the poll count is
-    /// reported on *both* exits — callers can account for the RPCs a
-    /// failed wait already issued instead of dropping them on the error
-    /// path.
+    /// Fallible [`KvsClient::wait_key_poll`] reporting the poll count on
+    /// *both* exits, so callers can account for the RPCs a failed wait
+    /// already issued. Each poll is a [`KvsClient::try_lookup`]; an
+    /// error means every replica of the key failed.
     pub async fn try_wait_key_poll_counted(
         &self,
         key: &str,
@@ -576,73 +445,107 @@ impl KvsClient {
                 Ok(None) => {}
                 Err(e) => return (Err(e), polls),
             }
-            self.ctx.sleep(self.spec.poll_interval).await;
+            self.ctx.sleep(self.poll_interval).await;
         }
     }
 
-    /// Fallible [`KvsClient::unlink`] with retry.
+    /// Fallible [`KvsClient::unlink`].
     pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        let key = intern(key);
-        let req = Request::Unlink { key };
-        let mut rng = self.fork_rng();
+        self.try_call(key, Request::Unlink { key: intern(key) })
+            .await
+            .map(drop)
+    }
+}
+
+/// The former name of [`KvsClient`], kept because the benchmark harness
+/// in `perfbench/` still names it.
+pub type KvsHandle = KvsClient;
+
+fn commit_req(key: &str, value: Bytes) -> Request {
+    Request::Commit {
+        key: intern(key),
+        value,
+    }
+}
+
+fn committed(resp: Response) -> u64 {
+    match resp {
+        Response::Committed { version } => version,
+        other => panic!("unexpected commit response {other:?}"),
+    }
+}
+
+fn found(resp: Response) -> Option<VersionedValue> {
+    match resp {
+        Response::Value { version, value } => Some(VersionedValue { version, value }),
+        Response::NotFound => None,
+        other => panic!("unexpected lookup response {other:?}"),
+    }
+}
+
+fn woken(resp: Response) -> VersionedValue {
+    match resp {
+        Response::Value { version, value } => VersionedValue { version, value },
+        other => panic!("unexpected wait response {other:?}"),
+    }
+}
+
+/// One node's line to one shard: sends a single request to the shard's
+/// broker and returns the decoded response. Owns the fallible path's RNG
+/// stream and retry policies.
+struct ShardStub {
+    ep: Endpoint,
+    broker: NodeId,
+    am: AmId,
+    retry: RetryPolicy,
+    /// Retry policy for server-side waits: same backoff, but no
+    /// per-attempt timeout (the RPC legitimately parks in the broker
+    /// until the key is committed).
+    wait_retry: RetryPolicy,
+    rng: RefCell<StdRng>,
+}
+
+impl ShardStub {
+    /// Every stub of a node seeds the same RNG stream; jitter draws are
+    /// per stub.
+    fn new(ctx: &Ctx, tp: &Transport, node: NodeId, broker: NodeId, am: AmId) -> ShardStub {
+        let retry = RetryPolicy::transport_default();
+        ShardStub {
+            ep: tp.endpoint(node),
+            broker,
+            am,
+            retry,
+            wait_retry: RetryPolicy {
+                attempt_timeout: SimDuration::from_secs(86_400),
+                ..retry
+            },
+            rng: RefCell::new(ctx.rng(0x4B56_0000u64 | u64::from(node.0))),
+        }
+    }
+
+    /// One plain RPC: no retry and no draw from the RNG stream.
+    async fn send(&self, req: Request) -> Response {
+        Response::decode(self.ep.rpc(self.broker, self.am, req.encode()).await)
+    }
+
+    /// One request through the retry policy; a dead shard's `ShardDown`
+    /// becomes `Unreachable`.
+    async fn try_send(&self, req: Request) -> Result<Response, TransportError> {
+        let policy = match req {
+            Request::WaitKey { .. } => &self.wait_retry,
+            _ => &self.retry,
+        };
+        // A per-call RNG forked from the stream, so no `RefCell` borrow
+        // is held across the await (clients are shared between tasks).
+        let mut rng = StdRng::seed_from_u64(self.rng.borrow_mut().random());
         let raw = self
             .ep
-            .rpc_retrying(self.broker, self.am, req.encode(), &self.retry, &mut rng)
+            .rpc_retrying(self.broker, self.am, req.encode(), policy, &mut rng)
             .await?;
-        if let Response::ShardDown = Response::decode(raw) {
-            return Err(TransportError::Unreachable { node: self.broker });
+        match Response::decode(raw) {
+            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
+            resp => Ok(resp),
         }
-        self.cache.borrow_mut().remove(&key);
-        Ok(())
-    }
-}
-
-/// A prefix-scoped view of the store, mirroring Flux KVS namespaces:
-/// every operation on the namespace is rewritten to `prefix/key` on the
-/// underlying client. DYAD uses one namespace per managed directory.
-#[derive(Clone)]
-pub struct Namespace {
-    client: KvsClient,
-    prefix: String,
-}
-
-impl Namespace {
-    /// Scope `client` to `prefix`.
-    pub fn new(client: KvsClient, prefix: &str) -> Self {
-        Namespace {
-            client,
-            prefix: prefix.trim_end_matches('/').to_string(),
-        }
-    }
-
-    /// The full key for a namespace-relative key.
-    pub fn full_key(&self, key: &str) -> String {
-        format!("{}/{}", self.prefix, key.trim_start_matches('/'))
-    }
-
-    /// Commit within the namespace.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        self.client.commit(&self.full_key(key), value).await
-    }
-
-    /// Lookup within the namespace.
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        self.client.lookup(&self.full_key(key)).await
-    }
-
-    /// Blocking wait within the namespace.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        self.client.wait_key(&self.full_key(key)).await
-    }
-
-    /// Unlink within the namespace.
-    pub async fn unlink(&self, key: &str) {
-        self.client.unlink(&self.full_key(key)).await
-    }
-
-    /// A nested namespace.
-    pub fn namespace(&self, prefix: &str) -> Namespace {
-        Namespace::new(self.client.clone(), &self.full_key(prefix))
     }
 }
 
@@ -770,24 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_are_free_and_correct() {
-        let sim = Sim::new(0);
-        let rig = setup(&sim, 2);
-        let c = client(&sim, &rig, 1);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            c.commit("k", Bytes::from_static(b"v")).await;
-            let before = ctx.now();
-            let cached = c.lookup_cached("k");
-            assert_eq!(ctx.now(), before); // zero simulated cost
-            cached
-        });
-        sim.run();
-        let v = h.try_take().unwrap().unwrap();
-        assert_eq!(v.value, Bytes::from_static(b"v"));
-    }
-
-    #[test]
     fn unlink_removes_key() {
         let sim = Sim::new(0);
         let rig = setup(&sim, 2);
@@ -795,12 +680,10 @@ mod tests {
         let h = sim.spawn(async move {
             c.commit("k", Bytes::from_static(b"v")).await;
             c.unlink("k").await;
-            (c.lookup("k").await, c.lookup_cached("k"))
+            c.lookup("k").await
         });
         sim.run();
-        let (remote, cached) = h.try_take().unwrap();
-        assert_eq!(remote, None);
-        assert_eq!(cached, None);
+        assert_eq!(h.try_take().unwrap(), None);
         assert!(rig.server.is_empty());
     }
 
@@ -849,29 +732,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.try_take().unwrap(), 1);
         }
-    }
-
-    #[test]
-    fn namespaces_isolate_keys() {
-        let sim = Sim::new(0);
-        let rig = setup(&sim, 2);
-        let c = client(&sim, &rig, 1);
-        let a = Namespace::new(c.clone(), "jobA");
-        let b = Namespace::new(c.clone(), "jobB");
-        let h = sim.spawn(async move {
-            a.commit("frame", Bytes::from_static(b"A")).await;
-            b.commit("frame", Bytes::from_static(b"B")).await;
-            let va = a.lookup("frame").await.unwrap().value;
-            let vb = b.lookup("frame").await.unwrap().value;
-            // Raw keys are prefixed.
-            let raw = c.lookup("jobA/frame").await.unwrap().value;
-            (va, vb, raw)
-        });
-        sim.run();
-        let (va, vb, raw) = h.try_take().unwrap();
-        assert_eq!(va, Bytes::from_static(b"A"));
-        assert_eq!(vb, Bytes::from_static(b"B"));
-        assert_eq!(raw, Bytes::from_static(b"A"));
     }
 
     #[test]
@@ -934,20 +794,5 @@ mod tests {
         assert_eq!(v, 1);
         assert_eq!(got.unwrap().value, Bytes::from_static(b"v"));
         assert!(rig.tp.stats().rpc_retries >= 1);
-    }
-
-    #[test]
-    fn nested_namespaces_compose() {
-        let sim = Sim::new(0);
-        let rig = setup(&sim, 2);
-        let c = client(&sim, &rig, 1);
-        let ns = Namespace::new(c, "root").namespace("inner");
-        assert_eq!(ns.full_key("k"), "root/inner/k");
-        let h = sim.spawn(async move {
-            ns.commit("k", Bytes::from_static(b"v")).await;
-            ns.wait_key("k").await.value
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), Bytes::from_static(b"v"));
     }
 }

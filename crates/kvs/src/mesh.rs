@@ -1,9 +1,9 @@
 //! # kvs::mesh — a sharded, replicated metadata plane
 //!
-//! The single [`crate::KvsServer`] broker is the protocol bottleneck
-//! and single point of failure of the DYAD reproduction: every
-//! produce/consume funnels through one FIFO service pool on one node.
-//! This module scales that control plane out:
+//! One broker is the protocol bottleneck and single point of failure of
+//! the DYAD reproduction: every produce/consume funnels through one FIFO
+//! service pool on one node. This module scales that control plane out;
+//! a single broker is its one-shard, unreplicated case.
 //!
 //! * **Sharding** — N brokers partition the key namespace by
 //!   *rendezvous (highest-random-weight) hashing*: every key scores
@@ -22,15 +22,15 @@
 //!   write. A replica applies a delta only once its parents have
 //!   applied; out-of-order arrivals buffer in a [`CausalBuffer`] and
 //!   drain as their dependencies land.
-//! * **Failover** — [`MeshKvsClient`] routes every operation to the
-//!   first *live* shard of the key's preference list. A shard killed by
-//!   a `KvsShardCrash` fault answers `ShardDown` (parked waits are
+//! * **Failover** — [`KvsClient`] routes every operation to the first
+//!   *live* shard of the key's preference list. A shard killed by a
+//!   `KvsShardCrash` fault answers `ShardDown` (parked waits are
 //!   flushed), the client maps that to `Unreachable`, and the fallible
 //!   `try_*` paths walk down the preference list — so a replicated
 //!   namespace heals while an unreplicated one fails typed.
 //!
-//! Shard 0 listens on the legacy [`crate::KVS_AM`] id; a mesh with one
-//! shard and R=1 is event-for-event identical to the standalone broker.
+//! Shard 0 listens on [`crate::KVS_AM`], so a single broker is shard 0
+//! of a one-shard mesh.
 
 use std::cell::RefCell;
 use std::hash::Hash;
@@ -38,18 +38,16 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NodeId;
-use faults::FaultBoard;
 use simcore::intern::{FxHashMap, Symbol};
 use simcore::{splitmix64, Ctx};
-use transport::{AmId, Transport, TransportError};
+use transport::{AmId, Transport};
 
 use crate::{
-    handle, KvsClient, KvsServer, KvsSpec, KvsStats, Request, Response, Store, VersionedValue,
-    KVS_AM,
+    KvsClient, KvsServer, KvsSpec, KvsStats, Request, Response, Store, VersionedValue, KVS_AM,
 };
 
-/// The AM id shard `shard` listens on (`KVS_AM` for shard 0, so the
-/// standalone broker *is* shard 0 of a one-shard mesh).
+/// The AM id shard `shard` listens on (`KVS_AM` for shard 0, so a single
+/// broker *is* shard 0 of a one-shard mesh).
 pub(crate) fn shard_am(shard: u32) -> AmId {
     AmId(KVS_AM.0 + shard)
 }
@@ -281,9 +279,11 @@ impl MeshTopology {
     }
 }
 
-/// Shard-side request path in mesh mode: local apply plus synchronous
-/// delta replication for writes, causal buffering for incoming deltas,
-/// and the legacy [`handle`] for reads/waits.
+/// Shard-side request path. Writes apply locally and, when the mesh
+/// replicates (R > 1), record the key's version vector and ship a delta
+/// to the live replicas before acknowledging; incoming deltas buffer
+/// until causally ready; reads and waits are served from the local
+/// store.
 pub(crate) async fn serve(
     store: &Rc<RefCell<Store>>,
     shard: u32,
@@ -291,9 +291,10 @@ pub(crate) async fn serve(
     tp: &Transport,
     req: Request,
 ) -> Response {
+    let replicated = topo.replication() > 1;
     match req {
         Request::Commit { key, value } => {
-            let (version, seq, deps) = {
+            let (version, stamp) = {
                 let mut st = store.borrow_mut();
                 st.version += 1;
                 let version = st.version;
@@ -308,21 +309,65 @@ pub(crate) async fn serve(
                 if let Some(n) = st.watches.remove(&key) {
                     n.notify_all();
                 }
-                let (seq, deps) = st.repl.record_local(&key, shard);
-                (version, seq, deps)
+                (
+                    version,
+                    replicated.then(|| st.repl.record_local(&key, shard)),
+                )
             };
-            replicate(store, shard, topo, tp, key, Some(value), seq, deps).await;
+            if let Some((seq, deps)) = stamp {
+                replicate(store, shard, topo, tp, key, Some(value), seq, deps).await;
+            }
             Response::Committed { version }
         }
         Request::Unlink { key } => {
-            let (seq, deps) = {
+            let stamp = {
                 let mut st = store.borrow_mut();
                 st.map.remove(&key);
                 st.stats.unlinks += 1;
-                st.repl.record_local(&key, shard)
+                replicated.then(|| st.repl.record_local(&key, shard))
             };
-            replicate(store, shard, topo, tp, key, None, seq, deps).await;
+            if let Some((seq, deps)) = stamp {
+                replicate(store, shard, topo, tp, key, None, seq, deps).await;
+            }
             Response::Unlinked
+        }
+        Request::Lookup { key } => {
+            let mut st = store.borrow_mut();
+            st.stats.lookups += 1;
+            match st.map.get(&key).cloned() {
+                Some(v) => Response::Value {
+                    version: v.version,
+                    value: v.value,
+                },
+                None => Response::NotFound,
+            }
+        }
+        Request::WaitKey { key } => {
+            let mut first = true;
+            loop {
+                let notify = {
+                    let mut st = store.borrow_mut();
+                    // The shard died while this wait was parked; its
+                    // watch was flushed so it can answer typed instead
+                    // of parking forever.
+                    if st.down {
+                        return Response::ShardDown;
+                    }
+                    if let Some(v) = st.map.get(&key).cloned() {
+                        st.stats.waits += 1;
+                        return Response::Value {
+                            version: v.version,
+                            value: v.value,
+                        };
+                    }
+                    if first {
+                        st.stats.waits_parked += 1;
+                        first = false;
+                    }
+                    st.watches.entry(key).or_default().clone()
+                };
+                notify.wait().await;
+            }
         }
         Request::Delta {
             key,
@@ -358,7 +403,6 @@ pub(crate) async fn serve(
             }
             Response::DeltaAck
         }
-        other => handle(store.clone(), other).await,
     }
 }
 
@@ -378,9 +422,6 @@ async fn replicate(
     seq: u64,
     deps: Vec<(u32, u64)>,
 ) {
-    if topo.replication() <= 1 {
-        return;
-    }
     let board = tp.faults();
     let ep = tp.endpoint(topo.node(shard));
     for peer in topo.preference(&key.resolve()) {
@@ -431,7 +472,7 @@ impl KvsMesh {
     ) -> KvsMesh {
         let topo = Rc::new(MeshTopology::new(shard_nodes.to_vec(), replication));
         let shards = (0..topo.shards())
-            .map(|s| KvsServer::start_shard(ctx, tp, topo.node(s), spec, s, Some(topo.clone())))
+            .map(|s| KvsServer::start_shard(ctx, tp, spec, s, topo.clone()))
             .collect();
         KvsMesh { topo, spec, shards }
     }
@@ -476,366 +517,8 @@ impl KvsMesh {
     }
 
     /// A client on `node` for this mesh.
-    pub fn client(&self, ctx: &Ctx, tp: &Transport, node: NodeId) -> MeshKvsClient {
-        MeshKvsClient::new(ctx, tp, node, self.topo.clone(), self.spec)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Client side
-// ---------------------------------------------------------------------------
-
-/// A mesh client bound to one node: routes every operation to the
-/// owning shard of the key and, on the fallible paths, fails over down
-/// the preference list when shards die.
-#[derive(Clone)]
-pub struct MeshKvsClient {
-    topo: Rc<MeshTopology>,
-    inner: Rc<Vec<KvsClient>>,
-    board: Option<FaultBoard>,
-}
-
-impl MeshKvsClient {
-    /// Create a client on `node` for the mesh described by `topo`.
-    pub fn new(
-        ctx: &Ctx,
-        tp: &Transport,
-        node: NodeId,
-        topo: Rc<MeshTopology>,
-        spec: KvsSpec,
-    ) -> MeshKvsClient {
-        let inner = (0..topo.shards())
-            .map(|s| KvsClient::new_with_am(ctx, tp, node, topo.node(s), shard_am(s), spec))
-            .collect();
-        MeshKvsClient {
-            topo,
-            inner: Rc::new(inner),
-            board: tp.faults(),
-        }
-    }
-
-    /// The mesh topology this client routes over.
-    pub fn topology(&self) -> &MeshTopology {
-        &self.topo
-    }
-
-    /// The owner shard of `key` (where per-shard poll counts are
-    /// attributed).
-    pub fn shard_of(&self, key: &str) -> u32 {
-        self.topo.owner(key)
-    }
-
-    fn live(&self, shard: u32) -> bool {
-        match &self.board {
-            Some(b) => b.kvs_shard_up(shard),
-            None => true,
-        }
-    }
-
-    /// The shard an operation on `key` is routed to: the first live
-    /// member of the preference list (the owner when healthy), or the
-    /// owner if the whole list is dead (the op then fails typed).
-    fn route(&self, key: &str) -> u32 {
-        let pref = self.topo.preference(key);
-        pref.iter()
-            .copied()
-            .find(|&s| self.live(s))
-            .unwrap_or(pref[0])
-    }
-
-    fn client(&self, shard: u32) -> &KvsClient {
-        &self.inner[shard as usize]
-    }
-
-    /// Infallible commit, routed to the first live replica of `key`.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        self.client(self.route(key)).commit(key, value).await
-    }
-
-    /// Infallible lookup on the first live replica of `key`.
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        self.client(self.route(key)).lookup(key).await
-    }
-
-    /// Cache-only read: checks the preference list's client caches in
-    /// order (a failover may have warmed a replica's cache instead of
-    /// the owner's).
-    pub fn lookup_cached(&self, key: &str) -> Option<VersionedValue> {
-        self.topo
-            .preference(key)
-            .into_iter()
-            .find_map(|s| self.client(s).lookup_cached(key))
-    }
-
-    /// Infallible server-side wait on the first live replica of `key`.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        self.client(self.route(key)).wait_key(key).await
-    }
-
-    /// Infallible polling wait (the synchronization ablation), routed
-    /// per poll so a mid-wait crash fails over.
-    pub async fn wait_key_poll(&self, key: &str) -> (VersionedValue, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            if let Some(v) = self.client(self.route(key)).lookup(key).await {
-                return (v, polls);
-            }
-            let c = self.client(0);
-            c.ctx.sleep(c.spec.poll_interval).await;
-        }
-    }
-
-    /// Infallible unlink on the first live replica of `key`.
-    pub async fn unlink(&self, key: &str) {
-        self.client(self.route(key)).unlink(key).await
-    }
-
-    /// Fallible commit with preference-list failover: each live replica
-    /// is tried with the inner client's full retry budget; errors only
-    /// when every replica is exhausted or down.
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_commit(key, value.clone()).await {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
-    }
-
-    /// Fallible lookup with preference-list failover.
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_lookup(key).await {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
-    }
-
-    /// Fallible server-side wait with preference-list failover: a wait
-    /// parked on a shard that then crashes is flushed with `ShardDown`
-    /// and re-parked on the next live replica (which the synchronous
-    /// replication protocol guarantees will see the commit).
-    pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_wait_key(key).await {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
-    }
-
-    /// Fallible polling wait; see
-    /// [`MeshKvsClient::try_wait_key_poll_counted`] for the poll count
-    /// on the error path.
-    pub async fn try_wait_key_poll(
-        &self,
-        key: &str,
-    ) -> Result<(VersionedValue, u64), TransportError> {
-        match self.try_wait_key_poll_counted(key).await {
-            (Ok(v), polls) => Ok((v, polls)),
-            (Err(e), _) => Err(e),
-        }
-    }
-
-    /// Fallible polling wait reporting the poll count on both exits.
-    /// Each poll is a [`MeshKvsClient::try_lookup`], so failover happens
-    /// inside the probe; an error means every replica of the key failed.
-    pub async fn try_wait_key_poll_counted(
-        &self,
-        key: &str,
-    ) -> (Result<VersionedValue, TransportError>, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            match self.try_lookup(key).await {
-                Ok(Some(v)) => return (Ok(v), polls),
-                Ok(None) => {}
-                Err(e) => return (Err(e), polls),
-            }
-            let c = self.client(0);
-            c.ctx.sleep(c.spec.poll_interval).await;
-        }
-    }
-
-    /// Fallible unlink with preference-list failover.
-    pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_unlink(key).await {
-                Ok(()) => return Ok(()),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
-    }
-
-    fn all_down_error<T>(&self, key: &str) -> Result<T, TransportError> {
-        Err(TransportError::Unreachable {
-            node: self.topo.node(self.topo.owner(key)),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unified handle
-// ---------------------------------------------------------------------------
-
-/// Either a legacy single-broker client or a mesh client, with one
-/// method surface — so `dyad`, `staging` and the workflow bodies take
-/// `impl Into<KvsHandle>` and never care which plane they run on.
-/// (The size skew between variants is fine: handles are created per
-/// process at setup, never stored in bulk.)
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-pub enum KvsHandle {
-    /// The legacy standalone-broker client.
-    Single(KvsClient),
-    /// A sharded/replicated mesh client.
-    Mesh(MeshKvsClient),
-}
-
-impl From<KvsClient> for KvsHandle {
-    fn from(c: KvsClient) -> KvsHandle {
-        KvsHandle::Single(c)
-    }
-}
-
-impl From<MeshKvsClient> for KvsHandle {
-    fn from(c: MeshKvsClient) -> KvsHandle {
-        KvsHandle::Mesh(c)
-    }
-}
-
-impl KvsHandle {
-    /// The owning shard of `key` under mesh routing; `None` on a
-    /// single broker. Used to attribute per-shard poll counts.
-    pub fn mesh_shard_of(&self, key: &str) -> Option<u32> {
-        match self {
-            KvsHandle::Single(_) => None,
-            KvsHandle::Mesh(m) => Some(m.shard_of(key)),
-        }
-    }
-
-    /// Commit `value` under `key`; returns the broker's new version.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        match self {
-            KvsHandle::Single(c) => c.commit(key, value).await,
-            KvsHandle::Mesh(m) => m.commit(key, value).await,
-        }
-    }
-
-    /// Read `key` (full round trip).
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        match self {
-            KvsHandle::Single(c) => c.lookup(key).await,
-            KvsHandle::Mesh(m) => m.lookup(key).await,
-        }
-    }
-
-    /// Cache-only read (no simulated cost).
-    pub fn lookup_cached(&self, key: &str) -> Option<VersionedValue> {
-        match self {
-            KvsHandle::Single(c) => c.lookup_cached(key),
-            KvsHandle::Mesh(m) => m.lookup_cached(key),
-        }
-    }
-
-    /// Server-side blocking wait.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        match self {
-            KvsHandle::Single(c) => c.wait_key(key).await,
-            KvsHandle::Mesh(m) => m.wait_key(key).await,
-        }
-    }
-
-    /// Client-side polling wait; returns `(value, polls)`.
-    pub async fn wait_key_poll(&self, key: &str) -> (VersionedValue, u64) {
-        match self {
-            KvsHandle::Single(c) => c.wait_key_poll(key).await,
-            KvsHandle::Mesh(m) => m.wait_key_poll(key).await,
-        }
-    }
-
-    /// Remove `key`.
-    pub async fn unlink(&self, key: &str) {
-        match self {
-            KvsHandle::Single(c) => c.unlink(key).await,
-            KvsHandle::Mesh(m) => m.unlink(key).await,
-        }
-    }
-
-    /// Fallible commit (retry + mesh failover).
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_commit(key, value).await,
-            KvsHandle::Mesh(m) => m.try_commit(key, value).await,
-        }
-    }
-
-    /// Fallible lookup (retry + mesh failover).
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_lookup(key).await,
-            KvsHandle::Mesh(m) => m.try_lookup(key).await,
-        }
-    }
-
-    /// Fallible server-side wait (retry + mesh failover).
-    pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_wait_key(key).await,
-            KvsHandle::Mesh(m) => m.try_wait_key(key).await,
-        }
-    }
-
-    /// Fallible polling wait (retry + mesh failover).
-    pub async fn try_wait_key_poll(
-        &self,
-        key: &str,
-    ) -> Result<(VersionedValue, u64), TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_wait_key_poll(key).await,
-            KvsHandle::Mesh(m) => m.try_wait_key_poll(key).await,
-        }
-    }
-
-    /// Fallible polling wait reporting the poll count on both exits.
-    pub async fn try_wait_key_poll_counted(
-        &self,
-        key: &str,
-    ) -> (Result<VersionedValue, TransportError>, u64) {
-        match self {
-            KvsHandle::Single(c) => c.try_wait_key_poll_counted(key).await,
-            KvsHandle::Mesh(m) => m.try_wait_key_poll_counted(key).await,
-        }
-    }
-
-    /// Fallible unlink (retry + mesh failover).
-    pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_unlink(key).await,
-            KvsHandle::Mesh(m) => m.try_unlink(key).await,
-        }
+    pub fn client(&self, ctx: &Ctx, tp: &Transport, node: NodeId) -> KvsClient {
+        KvsClient::on_mesh(ctx, tp, node, self.topo.clone(), self.spec)
     }
 }
 
@@ -845,7 +528,7 @@ mod tests {
     use cluster::{Cluster, ClusterSpec};
     use faults::{FaultBoard, FaultEvent, FaultKind, FaultPlan};
     use simcore::{Sim, SimDuration};
-    use transport::TransportSpec;
+    use transport::{TransportError, TransportSpec};
 
     fn mesh_rig(sim: &Sim, nodes: usize, shards: u32, replication: u32) -> (Transport, KvsMesh) {
         let ctx = sim.ctx();
@@ -958,20 +641,20 @@ mod tests {
     fn mesh_waiter_on_replica_is_woken_by_delta() {
         let sim = Sim::new(7);
         let (tp, mesh) = mesh_rig(&sim, 4, 4, 2);
-        // Find a key and its replica (non-owner preference member).
+        // A key whose replica (the non-owner preference member) is
+        // shard 0: a single-broker client on shard 0's node reaches that
+        // replica directly, since shard 0 listens on `KVS_AM`.
         let key = (0..64)
             .map(|i| format!("w{i}"))
-            .find(|k| preference_list(k, 4, 2).len() == 2)
+            .find(|k| preference_list(k, 4, 2)[1] == 0)
             .unwrap();
-        let replica = preference_list(&key, 4, 2)[1];
         let ctx = sim.ctx();
         // Park a wait directly on the replica shard.
-        let waiter = KvsClient::new_with_am(
+        let waiter = KvsClient::new(
             &ctx,
             &tp,
             NodeId(3),
-            mesh.topology().node(replica),
-            shard_am(replica),
+            mesh.topology().node(0),
             KvsSpec::default(),
         );
         let wkey = key.clone();
@@ -985,6 +668,8 @@ mod tests {
         sim.run();
         let v = h.try_take().unwrap();
         assert_eq!(v.value, Bytes::from_static(b"meta"));
+        assert_eq!(mesh.shard_stats(0).waits_parked, 1);
+        assert_eq!(mesh.shard_stats(0).deltas_applied, 1);
     }
 
     #[test]
@@ -1032,35 +717,49 @@ mod tests {
         assert!(mesh.shard(1).is_down());
     }
 
+    /// An unreplicated key whose owner is dead fails typed, without an
+    /// RPC to the dead shard — on a 4-shard mesh and on a single broker
+    /// (the one-shard case).
     #[test]
     fn unreplicated_mesh_fails_typed_when_owner_dies() {
-        let sim = Sim::new(11);
-        let ctx = sim.ctx();
-        let cl = Cluster::build(&ctx, &ClusterSpec::corona(4));
-        let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
-        let board = FaultBoard::new(&ctx, 4, 0);
-        tp.set_faults(board.clone());
-        let shard_nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let mesh = KvsMesh::start(&ctx, &tp, &shard_nodes, KvsSpec::default(), 1);
-        let c = mesh.client(&ctx, &tp, NodeId(0));
-        let key = (0..64)
-            .map(|i| format!("y{i}"))
-            .find(|k| shard_for(k, 4) == 2)
-            .unwrap();
-        board.arm(&FaultPlan::scheduled(vec![FaultEvent {
-            at: SimDuration::from_millis(1),
-            kind: FaultKind::KvsShardCrash { shard: 2 },
-        }]));
-        let ctx2 = sim.ctx();
-        let h = sim.spawn(async move {
-            ctx2.sleep(SimDuration::from_millis(5)).await;
-            c.try_commit(&key, Bytes::from_static(b"v")).await
-        });
-        assert!(sim.run().is_clean());
-        assert!(matches!(
-            h.try_take().unwrap(),
-            Err(TransportError::Unreachable { .. })
-        ));
+        for shards in [1u32, 4] {
+            let sim = Sim::new(11);
+            let ctx = sim.ctx();
+            let cl = Cluster::build(&ctx, &ClusterSpec::corona(4));
+            let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
+            let board = FaultBoard::new(&ctx, 4, 0);
+            tp.set_faults(board.clone());
+            let shard_nodes: Vec<NodeId> = (0..shards).map(NodeId).collect();
+            let mesh = KvsMesh::start(&ctx, &tp, &shard_nodes, KvsSpec::default(), 1);
+            let c = mesh.client(&ctx, &tp, NodeId(0));
+            let victim = 2 % shards;
+            let key = (0..64)
+                .map(|i| format!("y{i}"))
+                .find(|k| shard_for(k, shards) == victim)
+                .unwrap();
+            board.arm(&FaultPlan::scheduled(vec![FaultEvent {
+                at: SimDuration::from_millis(1),
+                kind: FaultKind::KvsShardCrash { shard: victim },
+            }]));
+            let ctx2 = sim.ctx();
+            let h = sim.spawn(async move {
+                ctx2.sleep(SimDuration::from_millis(5)).await;
+                c.try_commit(&key, Bytes::from_static(b"v")).await
+            });
+            assert!(sim.run().is_clean());
+            assert_eq!(
+                h.try_take().unwrap(),
+                Err(TransportError::Unreachable {
+                    node: NodeId(victim)
+                }),
+                "{shards} shards"
+            );
+            assert_eq!(
+                tp.stats().rpcs,
+                0,
+                "{shards} shards: RPC sent to a dead shard"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use bytes::Bytes;
 use cluster::NodeId;
 use faults::{FaultBoard, RetryPolicy};
 use instrument::Recorder;
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::{FsResult, LocalFs, LockKind};
 use pfs::PfsClient;
 use rand::rngs::StdRng;
@@ -502,7 +502,7 @@ pub struct StreamService {
     ctx: Ctx,
     node: NodeId,
     fs: LocalFs,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     ep: Endpoint,
     spec: Rc<StreamSpec>,
     staging: Option<Rc<StagingManager>>,
@@ -517,7 +517,7 @@ impl StreamService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: StreamSpec,
     ) -> Rc<StreamService> {
         Self::start_staged(ctx, tp, node, fs, kvs, spec, None)
@@ -533,7 +533,7 @@ impl StreamService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: StreamSpec,
         staging: Option<Rc<StagingManager>>,
     ) -> Rc<StreamService> {
@@ -547,7 +547,7 @@ impl StreamService {
             ctx: ctx.clone(),
             node,
             fs: fs.clone(),
-            kvs: kvs.into(),
+            kvs,
             ep: tp.endpoint(node),
             spec: spec.clone(),
             staging,
