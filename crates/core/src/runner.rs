@@ -455,7 +455,6 @@ fn run_prepared(
                     service_time: cal.dyad.service_time,
                     warm_sync: wf.dyad_warm_sync,
                     reclaim_on_crash: wf.streaming.reclaim_on_crash,
-                    stall_poll: StreamSpec::default().stall_poll,
                 };
                 ctx.with_shard(node_shard(i), || {
                     StreamService::start_staged(

@@ -29,13 +29,15 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dyad::{DyadConsumer, DyadError, DyadService, FrameLocation, FrameMeta};
+use dyad::ladder;
+use dyad::{DyadService, FrameLocation, FrameMeta};
 use faults::FaultBoard;
 use instrument::{Profile, Recorder};
 use kvs::KvsClient;
 use localfs::LocalFs;
 use mdsim::{FrameHeader, FrameTemplate, StepClock};
 use pfs::{LdlmClient, LockMode, PfsClient};
+use rand::rngs::StdRng;
 use simcore::sync::{channel, Receiver, Sender};
 use simcore::trace::Tracer;
 use simcore::{Ctx, SimDuration};
@@ -173,8 +175,9 @@ pub struct ProducerArgs {
     pub tracer: Tracer,
     /// Optional variable-rate schedule (overrides `stride` × `clock`).
     pub schedule: Option<FrameSchedule>,
-    /// Fault board when injection is armed for this run. `None` keeps
-    /// the process body byte-identical to the fault-free build.
+    /// Fault board when injection is armed for this run: freezes the
+    /// process while its node is down and paces its retries. `None`
+    /// (the fault-free run) skips both.
     pub faults: Option<FaultBoard>,
     /// The compute-node index this process runs on (fault freezes).
     pub node: u32,
@@ -230,70 +233,82 @@ pub async fn producer_dyad(args: ProducerArgs, svc: Rc<DyadService>, rng_stream:
             g.end();
             p
         };
-        match &args.faults {
-            None => {
-                svc.produce(&rec, &frame_path(args.pair, frame), payload)
-                    .await;
-            }
-            Some(board) => {
-                // Boxed so the (large, rarely-live) recovery state
-                // machine doesn't inflate every fault-free producer task.
-                Box::pin(produce_dyad_faulted(
-                    &args, board, &svc, &rec, frame, payload, rng_stream,
-                ))
-                .await;
-            }
-        }
+        let path = frame_path(args.pair, frame);
+        ladder_call(
+            &args.ctx,
+            args.faults.as_ref(),
+            args.node,
+            &rec,
+            Side::Produce,
+            rng_stream ^ 0xFA17,
+            // Boxed: a producer spends most of its life in `md_sim`,
+            // so the produce ladder's state (~1.3 KB) is allocated only
+            // while a produce runs. A consumer is inside its consume
+            // nearly always, so its ladder stays inline.
+            async |rng| Box::pin(svc.try_produce(&rec, &path, &payload, rng)).await,
+        )
+        .await;
     }
     rec.finish()
 }
 
-/// One fault-tolerant DYAD produce. Device-error windows are absorbed
-/// inside [`DyadService::try_produce`]; broker outages that outlast its
-/// budget are absorbed here by re-running the (idempotent) produce with
-/// backoff. Every fault window is finite by construction, so this
-/// terminates; a frame that is truly unwritable is tombstoned by the
-/// service and surfaces to consumers as a typed `FrameLost`.
-async fn produce_dyad_faulted(
-    args: &ProducerArgs,
-    board: &FaultBoard,
-    svc: &Rc<DyadService>,
+/// Which side of the data ladder a [`ladder_call`] runs (names its
+/// failure counters).
+#[derive(Clone, Copy)]
+enum Side {
+    Produce,
+    Consume,
+}
+
+/// Run one data-ladder call (a DYAD or streaming produce or consume) to
+/// completion; `None` when it failed terminally.
+///
+/// A crashed node runs nothing, so each attempt first waits out an
+/// outage of the process's node. An error that outlasted the ladder's
+/// own retry budget (a broker outage, a dead owner) is retried here
+/// with bounded backoff; every fault window is finite, so this
+/// terminates. A tombstoned write (`produce_failures`) and a lost frame
+/// (`frames_lost_observed`) are terminal and typed. `salt` keys the call
+/// site's backoff-jitter stream, which a produce also hands to the
+/// ladder's write retries. Without a fault board nothing waits: no
+/// freeze and no backoff.
+async fn ladder_call<T>(
+    ctx: &Ctx,
+    board: Option<&FaultBoard>,
+    node: u32,
     rec: &Recorder,
-    frame: u64,
-    payload: Payload,
-    rng_stream: u64,
-) {
-    let policy = dyad::dyad_retry_policy();
-    let mut frng = args.ctx.rng(rng_stream ^ 0xFA17);
+    side: Side,
+    salt: u64,
+    mut call: impl AsyncFnMut(&mut StdRng) -> Result<T, ladder::Error>,
+) -> Option<T> {
+    let mut rng = ctx.rng(salt);
     let mut outer = 0u32;
     loop {
-        // A crashed node runs nothing: freeze until the restart.
-        board.hold_until_up(args.node).await;
-        match svc
-            .try_produce(
-                rec,
-                &frame_path(args.pair, frame),
-                payload.clone(),
-                &policy,
-                &mut frng,
-            )
-            .await
-        {
-            Ok(()) => break,
-            Err(DyadError::Storage { .. }) => {
-                // Retry budget exhausted and tombstone published.
+        if let Some(board) = board {
+            board.hold_until_up(node).await;
+        }
+        match call(&mut rng).await {
+            Ok(v) => return Some(v),
+            Err(ladder::Error::Storage { .. }) => {
                 rec.annotate("produce_failures", 1.0);
-                break;
+                return None;
+            }
+            Err(ladder::Error::Lost { .. }) => {
+                rec.annotate("frames_lost_observed", 1.0);
+                return None;
             }
             Err(_) => {
+                let (retries, failures) = match side {
+                    Side::Produce => ("produce_outer_retries", "produce_failures"),
+                    Side::Consume => ("consume_outer_retries", "consume_failures"),
+                };
                 outer += 1;
                 if outer >= 64 {
-                    rec.annotate("produce_failures", 1.0);
-                    break;
+                    rec.annotate(failures, 1.0);
+                    return None;
                 }
-                rec.annotate("produce_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
+                rec.annotate(retries, 1.0);
+                ladder::retry_pause(ctx, board, outer.min(9), &mut rng).await;
             }
         }
     }
@@ -443,23 +458,19 @@ pub async fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> Profile 
     args.ctx.sleep(args.start_offset).await;
     // Ack id must match what the runner registered on the producer
     // node's staging manager, or frames would never become retireable.
-    let mut session: DyadConsumer = svc.consumer_with_id(&format!("c{}", args.pair));
+    let mut session = svc.consumer_with_id(&format!("c{}", args.pair));
     for frame in 0..args.frames {
-        let data = match &args.faults {
-            None => Some(session.consume(&rec, &frame_path(args.pair, frame)).await),
-            // Boxed for the same reason as the producer: keep the
-            // recovery state machine out of fault-free consumer tasks.
-            Some(board) => {
-                Box::pin(consume_dyad_faulted(
-                    &args,
-                    board,
-                    &mut session,
-                    &rec,
-                    frame,
-                ))
-                .await
-            }
-        };
+        let path = frame_path(args.pair, frame);
+        let data = ladder_call(
+            &args.ctx,
+            args.faults.as_ref(),
+            args.node,
+            &rec,
+            Side::Consume,
+            args.rng_stream ^ 0xFA17 ^ frame,
+            async |_| session.try_consume(&rec, &path).await,
+        )
+        .await;
         // A typed loss has nothing to analyze; move to the next frame.
         let Some(data) = data else { continue };
         deserialize_and_validate(&args, &rec, &data, frame).await;
@@ -471,45 +482,6 @@ pub async fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> Profile 
         }
     }
     rec.finish()
-}
-
-/// One fault-tolerant DYAD consume. Dead-owner and broker-outage errors
-/// from [`DyadConsumer::try_consume`] are retried here with backoff
-/// (fault windows are finite); a `FrameLost` tombstone is terminal and
-/// yields `None`, counted in the `frames_lost_observed` metric.
-async fn consume_dyad_faulted(
-    args: &ConsumerArgs,
-    board: &FaultBoard,
-    session: &mut DyadConsumer,
-    rec: &Recorder,
-    frame: u64,
-) -> Option<Payload> {
-    let policy = dyad::dyad_retry_policy();
-    let mut frng = args.ctx.rng(args.rng_stream ^ 0xFA17 ^ frame);
-    let mut outer = 0u32;
-    loop {
-        board.hold_until_up(args.node).await;
-        match session
-            .try_consume(rec, &frame_path(args.pair, frame))
-            .await
-        {
-            Ok(data) => return Some(data),
-            Err(DyadError::FrameLost { .. }) => {
-                rec.annotate("frames_lost_observed", 1.0);
-                return None;
-            }
-            Err(_) => {
-                outer += 1;
-                if outer >= 64 {
-                    rec.annotate("consume_failures", 1.0);
-                    return None;
-                }
-                rec.annotate("consume_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
-            }
-        }
-    }
 }
 
 /// Manual-baseline consumer process (XFS or Lustre).
@@ -792,10 +764,7 @@ pub async fn publisher_stream(
         .as_ref()
         .map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
     args.ctx.sleep(args.start_offset).await;
-    let mut publisher = match &args.faults {
-        Some(board) => svc.publisher_faulted(board.clone()),
-        None => svc.publisher(),
-    };
+    let mut publisher = svc.publisher();
     let agg = role.agg_frames.max(1);
     let steps = role.steps(args.frames);
     let mut frame = 0u64;
@@ -824,77 +793,21 @@ pub async fn publisher_stream(
         frame += in_step;
         let ackers = role.step_ackers(step, &group_ackers);
         let name = role.step_name(role.leaf, step);
-        match &args.faults {
-            None => {
-                publisher.publish(&rec, &name, step, payload, &ackers).await;
-            }
-            Some(board) => {
-                // Boxed like the DYAD bodies: keep the recovery state
-                // machine out of fault-free publisher tasks.
-                Box::pin(publish_stream_faulted(
-                    &args,
-                    board,
-                    &mut publisher,
-                    &rec,
-                    &name,
-                    step,
-                    payload,
-                    &ackers,
-                    rng_stream,
-                ))
-                .await;
-            }
-        }
+        ladder_call(
+            &args.ctx,
+            args.faults.as_ref(),
+            args.node,
+            &rec,
+            Side::Produce,
+            rng_stream ^ 0xFA17 ^ step,
+            // Boxed for the reason given in `producer_dyad`.
+            async |rng| {
+                Box::pin(publisher.try_publish(&rec, &name, step, &payload, &ackers, rng)).await
+            },
+        )
+        .await;
     }
     rec.finish()
-}
-
-/// One fault-tolerant streaming publish. Window stalls poll with crash
-/// reclaim and device/broker errors are absorbed inside
-/// [`streaming::StreamPublisher::try_publish`]; whatever outlasts its
-/// budget is re-run here with backoff. A step that is truly unwritable
-/// is tombstoned by the service and surfaces to subscribers as a typed
-/// `StepLost`.
-#[allow(clippy::too_many_arguments)]
-async fn publish_stream_faulted(
-    args: &ProducerArgs,
-    board: &FaultBoard,
-    publisher: &mut streaming::StreamPublisher,
-    rec: &Recorder,
-    name: &str,
-    step: u64,
-    payload: Payload,
-    ackers: &[StreamAcker],
-    rng_stream: u64,
-) {
-    let policy = streaming::stream_retry_policy();
-    let mut frng = args.ctx.rng(rng_stream ^ 0xFA17 ^ step);
-    let mut outer = 0u32;
-    loop {
-        // A crashed node runs nothing: freeze until the restart.
-        board.hold_until_up(args.node).await;
-        match publisher
-            .try_publish(rec, name, step, payload.clone(), ackers, &policy, &mut frng)
-            .await
-        {
-            Ok(()) => break,
-            Err(streaming::StreamError::Storage { .. }) => {
-                // Retry budget exhausted and tombstone published.
-                rec.annotate("produce_failures", 1.0);
-                break;
-            }
-            Err(_) => {
-                outer += 1;
-                if outer >= 64 {
-                    rec.annotate("produce_failures", 1.0);
-                    break;
-                }
-                rec.annotate("produce_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
-            }
-        }
-    }
 }
 
 /// Streaming fan-out subscriber process: member `sub_idx` of a group of
@@ -928,20 +841,16 @@ pub async fn subscriber_stream(
             continue;
         }
         let name = role.step_name(0, step);
-        let data = match &args.faults {
-            None => Some(session.consume_step(&rec, &name).await),
-            Some(board) => {
-                Box::pin(consume_stream_faulted(
-                    &args,
-                    board,
-                    &mut session,
-                    &rec,
-                    &name,
-                    step,
-                ))
-                .await
-            }
-        };
+        let data = ladder_call(
+            &args.ctx,
+            args.faults.as_ref(),
+            args.node,
+            &rec,
+            Side::Consume,
+            args.rng_stream ^ 0xFA17 ^ step,
+            async |_| session.try_consume_step(&rec, &name).await,
+        )
+        .await;
         // A typed loss has nothing to analyze; move to the next step.
         let Some(data) = data else { continue };
         let first = step * agg;
@@ -955,43 +864,6 @@ pub async fn subscriber_stream(
         }
     }
     rec.finish()
-}
-
-/// One fault-tolerant streaming consume; `salt` keys the backoff-jitter
-/// stream (step index, plus the leaf for reducers). A `StepLost`
-/// tombstone is terminal and yields `None`, counted in the
-/// `frames_lost_observed` metric.
-async fn consume_stream_faulted(
-    args: &ConsumerArgs,
-    board: &FaultBoard,
-    session: &mut streaming::StreamSubscriber,
-    rec: &Recorder,
-    name: &str,
-    salt: u64,
-) -> Option<Payload> {
-    let policy = streaming::stream_retry_policy();
-    let mut frng = args.ctx.rng(args.rng_stream ^ 0xFA17 ^ salt);
-    let mut outer = 0u32;
-    loop {
-        board.hold_until_up(args.node).await;
-        match session.try_consume_step(rec, name).await {
-            Ok(data) => return Some(data),
-            Err(streaming::StreamError::StepLost { .. }) => {
-                rec.annotate("frames_lost_observed", 1.0);
-                return None;
-            }
-            Err(_) => {
-                outer += 1;
-                if outer >= 64 {
-                    rec.annotate("consume_failures", 1.0);
-                    return None;
-                }
-                rec.annotate("consume_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
-            }
-        }
-    }
 }
 
 /// Streaming fan-in reducer: consumes one step from every leaf
@@ -1019,20 +891,16 @@ pub async fn reducer_stream(
         let mut head: Option<Payload> = None;
         for leaf in 0..role.fanin {
             let name = role.step_name(leaf, step);
-            let data = match &args.faults {
-                None => Some(session.consume_step(&rec, &name).await),
-                Some(board) => {
-                    Box::pin(consume_stream_faulted(
-                        &args,
-                        board,
-                        &mut session,
-                        &rec,
-                        &name,
-                        step ^ (u64::from(leaf) << 32),
-                    ))
-                    .await
-                }
-            };
+            let data = ladder_call(
+                &args.ctx,
+                args.faults.as_ref(),
+                args.node,
+                &rec,
+                Side::Consume,
+                args.rng_stream ^ 0xFA17 ^ step ^ (u64::from(leaf) << 32),
+                async |_| session.try_consume_step(&rec, &name).await,
+            )
+            .await;
             let Some(data) = data else { continue };
             leaf_bytes.push(transport::payload_len(&data));
             if head.is_none() {

@@ -500,10 +500,53 @@ fn disabled_fault_config_leaves_runs_bit_identical() {
     }
 }
 
+/// The whole of a run's metrics as exact text: makespan and event
+/// count, every totals block as JSON, and every node of every
+/// per-process profile with its count, inclusive nanoseconds and
+/// annotations. The destructuring fails to compile when `RunMetrics`
+/// gains a field, so nothing escapes the comparison.
+fn full_report(m: &RunMetrics) -> String {
+    let RunMetrics {
+        producers,
+        consumers,
+        makespan,
+        events,
+        staging,
+        streaming,
+        faults,
+        kvs,
+    } = m;
+    let mut out = format!("makespan {} events {events}\n", makespan.nanos());
+    for totals in [
+        serde_json::to_string(staging),
+        serde_json::to_string(streaming),
+        serde_json::to_string(faults),
+        serde_json::to_string(kvs),
+    ] {
+        out += &totals.unwrap();
+        out.push('\n');
+    }
+    for (role, profiles) in [("producer", producers), ("consumer", consumers)] {
+        for (i, p) in profiles.iter().enumerate() {
+            for (path, node) in p.flatten() {
+                out += &format!(
+                    "{role} {i} {} count={} incl={} {:?}\n",
+                    path.join("/"),
+                    node.count,
+                    node.inclusive.nanos(),
+                    node.metrics
+                );
+            }
+        }
+    }
+    out
+}
+
 /// An *armed* fault board whose only event lands an hour after the
-/// workload finishes must not perturb the trajectory: the retrying
-/// wrappers and recovery hooks are pure overhead-free pass-throughs
-/// until a window actually opens. Checked for every backend on a single
+/// workload finishes must not perturb the run: the data ladder, the
+/// retry helper and the recovery hooks behave exactly as with no board
+/// until a window actually opens, so the full metrics (per-region
+/// profiles included) match. Checked for every backend on a single
 /// broker, and for DYAD and streaming on a 4-shard R=2 mesh, whose
 /// clients route around dead shards only once one dies.
 #[test]
@@ -534,25 +577,9 @@ fn armed_board_with_out_of_window_plan_preserves_makespan() {
         let a = run_once(&plain, &cal, 5);
         let b = run_once(&late, &cal, 5);
         assert_eq!(
-            a.makespan, b.makespan,
-            "{row}: armed-but-idle board changed the makespan"
-        );
-        assert_eq!(
-            a.events, b.events,
-            "{row}: armed-but-idle board changed the event count"
-        );
-        let totals = |m: &RunMetrics| {
-            [
-                serde_json::to_string(&m.staging).unwrap(),
-                serde_json::to_string(&m.kvs).unwrap(),
-                serde_json::to_string(&m.streaming).unwrap(),
-                serde_json::to_string(&m.faults).unwrap(),
-            ]
-        };
-        assert_eq!(
-            totals(&a),
-            totals(&b),
-            "{row}: armed-but-idle board changed the staging/kvs/streaming/faults totals"
+            full_report(&a),
+            full_report(&b),
+            "{row}: armed-but-idle board changed the run's metrics"
         );
         assert_eq!(
             b.faults.injected, 0,

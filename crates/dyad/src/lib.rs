@@ -19,95 +19,52 @@
 //!   application (`read_single_buf`) — the exact call tree Figure 9
 //!   analyzes.
 //!
-//! Every phase is wrapped in [`instrument`] regions with the paper's
-//! region names, so Thicket queries can split data-movement time from
-//! synchronization (idle) time the same way the authors did.
+//! Both paths live in [`ladder`], which the streaming backend shares:
+//! DYAD is the ladder configured with the `dyad_*` region names, so
+//! Thicket queries can split data-movement time from synchronization
+//! (idle) time the same way the authors did. There is one path per
+//! direction; a fault board attached to the transport decides only
+//! whether a failed step backs off before retrying.
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NodeId;
-use faults::RetryPolicy;
 use instrument::Recorder;
 use kvs::KvsClient;
-use localfs::{FsResult, LocalFs, LockKind};
-use pfs::PfsClient;
+use localfs::LocalFs;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use simcore::resource::FifoResource;
-use simcore::{Ctx, SimDuration};
+use rand::SeedableRng;
+use simcore::SimDuration;
 use staging::StagingManager;
-use transport::{AmId, Endpoint, LocalBoxFuture, Payload, Transport, TransportError};
+use transport::{AmId, Payload, Transport};
 
+pub mod ladder;
+
+use ladder::{Ladder, LadderSpec, Regions, Session};
 pub use staging::{FrameLocation, FrameMeta};
 
-/// Errors surfaced by the fallible produce/consume paths under a fault
-/// plan. Without faults these paths cannot fail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DyadError {
-    /// Every copy of the frame is gone: the owner crashed before the
-    /// frame could spill, or the spill copy itself was dropped.
-    FrameLost {
-        /// Managed path of the lost frame.
-        path: String,
-    },
-    /// A transport-level failure survived the retry budget.
-    Transport(TransportError),
-    /// Local storage kept failing (NVMe device-error window outlasted
-    /// the retry budget).
-    Storage {
-        /// Managed path of the frame being written.
-        path: String,
-    },
-    /// The frame could not be resolved to a live copy within the
-    /// consume retry budget.
-    Unresolvable {
-        /// Managed path of the frame.
-        path: String,
-        /// Fetch attempts made.
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for DyadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DyadError::FrameLost { path } => write!(f, "frame {path} lost (no surviving copy)"),
-            DyadError::Transport(e) => write!(f, "transport failure: {e}"),
-            DyadError::Storage { path } => write!(f, "local storage failure writing {path}"),
-            DyadError::Unresolvable { path, attempts } => {
-                write!(f, "frame {path} unresolvable after {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DyadError {}
-
-impl From<TransportError> for DyadError {
-    fn from(e: TransportError) -> Self {
-        DyadError::Transport(e)
-    }
-}
-
-/// Retry policy shaping DYAD's own recovery loops (consumer re-resolve,
-/// producer write retry). Wider than the transport policy: node outages
-/// last milliseconds-to-seconds, so the cap and budget stretch further.
-pub fn dyad_retry_policy() -> RetryPolicy {
-    RetryPolicy {
-        base: SimDuration::from_millis(1),
-        cap: SimDuration::from_millis(500),
-        max_attempts: 12,
-        jitter_frac: 0.25,
-        attempt_timeout: SimDuration::from_millis(100),
-    }
-}
+/// Operation counters for one node's DYAD service.
+pub type DyadStats = ladder::Stats;
 
 /// The AM id of the per-node DYAD data service.
 pub const DYAD_AM: AmId = AmId(0x4459);
+
+/// DYAD's region names (the paper's Caliper annotations).
+pub static REGIONS: Regions = Regions {
+    produce: "dyad_produce",
+    write: "dyad_prod_write",
+    commit: "dyad_commit",
+    consume: "dyad_consume",
+    probe: "dyad_sync_flock",
+    sync: "dyad_fetch",
+    get_data: "dyad_get_data",
+    cons_store: "dyad_cons_store",
+    pfs_fallback: "dyad_pfs_fallback",
+};
 
 /// DYAD tuning parameters.
 #[derive(Debug, Clone)]
@@ -144,50 +101,17 @@ impl Default for DyadSpec {
     }
 }
 
-/// Operation counters for one node's DYAD service.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DyadStats {
-    /// Frames produced through this service.
-    pub produces: u64,
-    /// Frames consumed through this service.
-    pub consumes: u64,
-    /// Consumptions that parked in a KVS watch (cold syncs).
-    pub cold_syncs: u64,
-    /// Consumptions satisfied by the warm fast path.
-    pub warm_syncs: u64,
-    /// Consumptions that found the data already node-local.
-    pub local_hits: u64,
-    /// Remote fetches served *by* this node (owner side).
-    pub fetches_served: u64,
-    /// Bytes produced.
-    pub bytes_produced: u64,
-    /// Bytes consumed.
-    pub bytes_consumed: u64,
-}
-
-struct ServiceInner {
-    stats: DyadStats,
-    dirs_made: std::collections::HashSet<String>,
-}
-
 /// The per-node DYAD service: owns the node's managed directory, serves
 /// remote fetch requests, and provides the produce/consume API.
 pub struct DyadService {
-    ctx: Ctx,
-    node: NodeId,
-    fs: LocalFs,
-    kvs: KvsClient,
-    ep: Endpoint,
-    spec: Rc<DyadSpec>,
-    staging: Option<Rc<StagingManager>>,
-    inner: Rc<RefCell<ServiceInner>>,
+    ladder: Ladder,
 }
 
 impl DyadService {
     /// Start DYAD on `node` with unbounded staging (the paper's
     /// configuration: frames stay on NVMe forever).
     pub fn start(
-        ctx: &Ctx,
+        ctx: &simcore::Ctx,
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
@@ -204,7 +128,7 @@ impl DyadService {
     /// data-service handler that answers `dyad_get_data` requests from
     /// consumers on other nodes.
     pub fn start_staged(
-        ctx: &Ctx,
+        ctx: &simcore::Ctx,
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
@@ -212,226 +136,59 @@ impl DyadService {
         spec: DyadSpec,
         staging: Option<Rc<StagingManager>>,
     ) -> Rc<DyadService> {
-        let spec = Rc::new(spec);
-        let inner = Rc::new(RefCell::new(ServiceInner {
-            stats: DyadStats::default(),
-            dirs_made: std::collections::HashSet::new(),
-        }));
-        let service = FifoResource::new(ctx, spec.service_threads);
-        let svc = Rc::new(DyadService {
-            ctx: ctx.clone(),
-            node,
-            fs: fs.clone(),
-            kvs,
-            ep: tp.endpoint(node),
-            spec: spec.clone(),
-            staging,
-            inner: inner.clone(),
-        });
-        let hfs = fs;
-        let hspec = spec;
-        let hinner = inner;
-        tp.register_bulk(
-            node,
-            DYAD_AM,
-            Rc::new(move |hdr: Bytes, _payload: Payload| {
-                let fs = hfs.clone();
-                let spec = hspec.clone();
-                let inner = hinner.clone();
-                let service = service.clone();
-                Box::pin(async move {
-                    service.request(spec.service_time).await;
-                    let path = String::from_utf8(hdr.to_vec()).expect("utf-8 path");
-                    let data = match fs.open(&path).await {
-                        Ok(fd) => {
-                            let segs = fs.read_segments(fd).await.unwrap_or_default();
-                            let _ = fs.close(fd).await;
-                            segs
-                        }
-                        Err(_) => Vec::new(),
-                    };
-                    inner.borrow_mut().stats.fetches_served += 1;
-                    (Bytes::new(), data)
-                }) as LocalBoxFuture<(Bytes, Payload)>
-            }),
-        );
-        svc
+        let spec = LadderSpec {
+            regions: &REGIONS,
+            am: DYAD_AM,
+            managed_dir: spec.managed_dir,
+            commit_overhead: spec.produce_overhead,
+            service_threads: spec.service_threads,
+            service_time: spec.service_time,
+            warm_sync: spec.warm_sync,
+            cold_sync_poll: spec.cold_sync_poll,
+            bare_acks: false,
+        };
+        let ladder = Ladder::start(ctx, tp, node, fs, kvs, staging, spec);
+        Rc::new(DyadService { ladder })
     }
 
     /// The node this service runs on.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.ladder.node()
     }
 
     /// Operation counters.
     pub fn stats(&self) -> DyadStats {
-        self.inner.borrow().stats
+        self.ladder.stats()
     }
 
     /// The managed path for a logical frame name.
     pub fn managed_path(&self, name: &str) -> String {
-        format!("{}/{}", self.spec.managed_dir, name.trim_start_matches('/'))
-    }
-
-    async fn ensure_dirs(&self, path: &str) {
-        let Some(dir) = path.rsplit_once('/').map(|(d, _)| d.to_string()) else {
-            return;
-        };
-        let need = !self.inner.borrow().dirs_made.contains(&dir);
-        if need {
-            let _ = self.fs.mkdir_p(&dir).await;
-            self.inner.borrow_mut().dirs_made.insert(dir);
-        }
-    }
-
-    /// Write a frame to the managed directory with atomic tmp+rename
-    /// publication. On failure (device-error window) the tmp file is
-    /// removed so a retry starts clean.
-    async fn write_frame(&self, path: &str, frame: Payload) -> FsResult<()> {
-        self.ensure_dirs(path).await;
-        let tmp = format!("{path}.tmp");
-        let res: FsResult<()> = async {
-            let fd = self.fs.create(&tmp).await?;
-            for seg in frame {
-                self.fs.write_bytes(fd, seg).await?;
-            }
-            self.fs.close(fd).await?;
-            self.fs.rename(&tmp, path).await?;
-            Ok(())
-        }
-        .await;
-        if res.is_err() {
-            let _ = self.fs.unlink(&tmp).await;
-        }
-        res
+        self.ladder.managed_path(name)
     }
 
     /// Produce a frame: write to node-local storage, then publish
-    /// metadata to the KVS.
+    /// metadata to the KVS. `rng` feeds the write-retry backoff under a
+    /// fault board.
     ///
-    /// Call tree: `dyad_produce` → { `dyad_prod_write`, `dyad_commit` }.
-    pub async fn produce(&self, rec: &Recorder, name: &str, frame: Payload) {
+    /// Call tree: `dyad_produce` → { `staging_backpressure`,
+    /// `dyad_prod_write`, `dyad_commit` }.
+    pub fn try_produce<'a>(
+        &'a self,
+        rec: &'a Recorder,
+        name: &str,
+        frame: &'a [Bytes],
+        rng: &'a mut StdRng,
+    ) -> impl Future<Output = Result<(), ladder::Error>> + 'a {
         let path = self.managed_path(name);
-        let size = transport::payload_len(&frame);
-        let g = rec.region("dyad_produce");
-        // Admission control: above the staging high watermark the
-        // producer blocks here until the evictor frees space. The stall
-        // is its own region so `report` can split it out of production
-        // time as idle rather than movement.
-        if let Some(st) = &self.staging {
-            if st.would_block(size) {
-                let b = rec.region("staging_backpressure");
-                st.admit(size).await;
-                b.end();
-            }
-        }
-        {
-            // Write to a temp name and rename: the frame becomes visible
-            // atomically, so a same-node consumer can never observe a
-            // partially written file.
-            let w = rec.region("dyad_prod_write");
-            self.write_frame(&path, frame).await.expect("local write");
-            w.end();
-        }
-        if let Some(st) = &self.staging {
-            st.frame_written(&path, size);
-        }
-        {
-            let c = rec.region("dyad_commit");
-            // Global-namespace bookkeeping (hashing, path registration).
-            self.ctx.sleep(self.spec.produce_overhead).await;
-            let meta = FrameMeta {
-                owner: self.node,
-                size,
-                location: FrameLocation::Nvme,
-            };
-            self.kvs.commit(&path, meta.encode()).await;
-            c.end();
-        }
-        if let Some(st) = &self.staging {
-            st.frame_published(&path);
-        }
-        g.end();
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.produces += 1;
-        inner.stats.bytes_produced += size;
+        self.ladder.produce(rec, path, frame, rng, async |_| Ok(()))
     }
 
-    /// Fallible [`DyadService::produce`] for fault runs: local writes
-    /// retry through NVMe device-error windows with backoff, and the
-    /// metadata commit retries through broker outages. Fails typed once
-    /// the retry budget is exhausted.
-    pub async fn try_produce(
-        &self,
-        rec: &Recorder,
-        name: &str,
-        frame: Payload,
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-    ) -> Result<(), DyadError> {
-        let path = self.managed_path(name);
-        let size = transport::payload_len(&frame);
-        let g = rec.region("dyad_produce");
-        if let Some(st) = &self.staging {
-            if st.would_block(size) {
-                let b = rec.region("staging_backpressure");
-                st.admit(size).await;
-                b.end();
-            }
-        }
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let w = rec.region("dyad_prod_write");
-            let res = self.write_frame(&path, frame.clone()).await;
-            w.end();
-            match res {
-                Ok(()) => break,
-                Err(_) if attempts < policy.max_attempts => {
-                    rec.annotate("produce_retries", 1.0);
-                    let pause = policy.backoff(attempts - 1, rng);
-                    self.ctx.sleep(pause).await;
-                }
-                Err(_) => {
-                    // The frame can never appear: publish a Lost
-                    // tombstone (best effort) so consumers surface a
-                    // typed FrameLost instead of parking forever on a
-                    // key that will never be committed.
-                    let meta = FrameMeta {
-                        owner: self.node,
-                        size,
-                        location: FrameLocation::Lost,
-                    };
-                    let _ = self.kvs.try_commit(&path, meta.encode()).await;
-                    g.end();
-                    return Err(DyadError::Storage { path });
-                }
-            }
-        }
-        if let Some(st) = &self.staging {
-            st.frame_written(&path, size);
-        }
-        let commit_res = {
-            let c = rec.region("dyad_commit");
-            self.ctx.sleep(self.spec.produce_overhead).await;
-            let meta = FrameMeta {
-                owner: self.node,
-                size,
-                location: FrameLocation::Nvme,
-            };
-            let r = self.kvs.try_commit(&path, meta.encode()).await;
-            c.end();
-            r
-        };
-        commit_res?;
-        if let Some(st) = &self.staging {
-            st.frame_published(&path);
-        }
-        g.end();
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.produces += 1;
-        inner.stats.bytes_produced += size;
-        Ok(())
+    /// [`DyadService::try_produce`] for callers that treat a failure as
+    /// a bug.
+    pub async fn produce(&self, rec: &Recorder, name: &str, frame: Payload) {
+        self.try_produce(rec, name, &frame, &mut StdRng::seed_from_u64(0))
+            .await
+            .expect("dyad produce");
     }
 
     /// Open a consumer session (tracks warm/cold synchronization state,
@@ -440,28 +197,14 @@ impl DyadService {
     /// [`DyadService::consumer_with_id`] with the id the workflow
     /// registered on the producer's staging manager.
     pub fn consumer(self: &Rc<Self>) -> DyadConsumer {
-        self.consumer_with_id(&format!("n{}", self.node.0))
+        self.consumer_with_id(&format!("n{}", self.node().0))
     }
 
     /// Open a consumer session with an explicit consumption-ack id.
     pub fn consumer_with_id(self: &Rc<Self>, id: &str) -> DyadConsumer {
-        // FNV-1a over the id gives each session its own deterministic
-        // backoff-jitter stream (only drawn from under a fault plan).
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in id.as_bytes() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x100000001b3);
-        }
-        let rng = StdRng::seed_from_u64(
-            self.ctx
-                .rng(0x4459_0000 ^ u64::from(self.node.0))
-                .random::<u64>()
-                ^ h,
-        );
         DyadConsumer {
+            session: self.ladder.session(id),
             svc: self.clone(),
-            id: id.to_string(),
-            warmed: false,
-            rng,
         }
     }
 }
@@ -469,492 +212,36 @@ impl DyadService {
 /// Consumer-side session state for multi-protocol synchronization.
 pub struct DyadConsumer {
     svc: Rc<DyadService>,
-    id: String,
-    warmed: bool,
-    rng: StdRng,
+    session: Session,
 }
 
 impl DyadConsumer {
-    /// Consume a frame by logical name, returning its payload.
+    /// Consume a frame by logical name, returning its payload. Fails
+    /// typed: [`ladder::Error::Lost`] for a tombstoned frame, or a
+    /// transport / resolve failure that outlasted the retry budget.
     ///
     /// Call tree: `dyad_consume` → { `dyad_sync_flock` or `dyad_fetch`,
     /// `dyad_get_data`, `dyad_cons_store`, `read_single_buf` }, matching
     /// Figure 9.
+    pub fn try_consume<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
+        name: &str,
+    ) -> impl Future<Output = Result<Payload, ladder::Error>> + 'a {
+        let path = self.svc.managed_path(name);
+        self.svc.ladder.consume(rec, &mut self.session, path)
+    }
+
+    /// [`DyadConsumer::try_consume`] for callers that treat a failure as
+    /// a bug.
     pub async fn consume(&mut self, rec: &Recorder, name: &str) -> Payload {
-        let svc = self.svc.clone();
-        let path = svc.managed_path(name);
-        let g = rec.region("dyad_consume");
-
-        // --- Synchronization ------------------------------------------
-        // Local presence first (single-node deployments): a flock probe
-        // suffices once the producer shares our filesystem.
-        let mut data: Option<Payload> = None;
-        if svc.fs.exists(&path) {
-            let f = rec.region("dyad_sync_flock");
-            svc.fs
-                .flock(&path, LockKind::Shared)
-                .await
-                .expect("flock on existing file");
-            svc.fs
-                .funlock(&path, LockKind::Shared)
-                .await
-                .expect("funlock");
-            f.end();
-            // Node-local: direct read. Under staging, the evictor may
-            // retire or spill the frame between the probe and the read;
-            // a miss falls through to metadata resolution below.
-            let r = rec.region("read_single_buf");
-            data = try_read_local(&svc.fs, &path).await;
-            r.end();
-            if data.is_some() {
-                svc.inner.borrow_mut().stats.local_hits += 1;
-                self.warmed = true;
-            }
-        }
-
-        if data.is_none() {
-            // Remote (or evicted) data: resolve the owner through the
-            // KVS.
-            let f = rec.region("dyad_fetch");
-            let mut meta;
-            if self.warmed && svc.spec.warm_sync {
-                // Warm path: data is normally already published — one
-                // cheap, non-blocking lookup.
-                match svc.kvs.lookup(&path).await {
-                    Some(v) => {
-                        svc.inner.borrow_mut().stats.warm_syncs += 1;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                    None => {
-                        // Producer fell behind: fall back to the
-                        // loosely coupled blocking watch.
-                        rec.annotate("cold_fallbacks", 1.0);
-                        svc.inner.borrow_mut().stats.cold_syncs += 1;
-                        let v = cold_wait(&svc, rec, &path).await;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                }
-            } else {
-                // Cold path (first access): park in a KVS watch (or
-                // poll, if the ablation knob says so).
-                svc.inner.borrow_mut().stats.cold_syncs += 1;
-                let v = cold_wait(&svc, rec, &path).await;
-                meta = FrameMeta::decode(v.value);
-            }
-            f.end();
-            self.warmed = true;
-
-            // --- Data movement ----------------------------------------
-            // The staging evictor can move a frame between our metadata
-            // read and the data fetch (NVMe → PFS on spill). The spill
-            // republishes metadata *before* unlinking the NVMe copy, so
-            // one re-lookup always observes the new location; the bound
-            // is a defensive backstop.
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                assert!(
-                    attempts <= 8,
-                    "frame {path} unresolvable (evicted mid-consume?)"
-                );
-                match meta.location {
-                    FrameLocation::Lost => {
-                        // Only fault runs mint Lost tombstones, and they
-                        // consume through the fallible path.
-                        panic!("frame {path} lost to a node crash (use try_consume under faults)");
-                    }
-                    FrameLocation::Pfs => {
-                        // Spilled: fetch the PFS copy directly.
-                        let pfs = svc
-                            .staging
-                            .as_ref()
-                            .and_then(|st| st.pfs_client())
-                            .expect("spilled frame but no PFS client configured");
-                        let r = rec.region("dyad_pfs_fallback");
-                        let got = read_pfs(pfs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            if let Some(st) = &svc.staging {
-                                st.note_pfs_fallback();
-                            }
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == svc.node => {
-                        // Published by a producer on our own node.
-                        let r = rec.region("read_single_buf");
-                        let got = try_read_local(&svc.fs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        // RDMA fetch from the owner's node-local
-                        // storage. An empty payload means the owner no
-                        // longer holds the file (spilled underneath us).
-                        let r = rec.region("dyad_get_data");
-                        let (_, got) = svc
-                            .ep
-                            .bulk_rpc(
-                                meta.owner,
-                                DYAD_AM,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                            )
-                            .await;
-                        r.end();
-                        if transport::payload_len(&got) > 0 {
-                            // Stage into our node-local cache, with the
-                            // same atomic rename publication (other
-                            // consumer sessions on this node must never
-                            // see a partial cache file).
-                            let s = rec.region("dyad_cons_store");
-                            svc.ensure_dirs(&path).await;
-                            let tmp = format!("{path}.tmp-{}", svc.node.0);
-                            let fd = svc.fs.create(&tmp).await.expect("managed dir");
-                            let size = transport::payload_len(&got);
-                            for seg in got {
-                                svc.fs.write_bytes(fd, seg).await.expect("store");
-                            }
-                            svc.fs.close(fd).await.expect("close");
-                            svc.fs.rename(&tmp, &path).await.expect("cache rename");
-                            if let Some(st) = &svc.staging {
-                                st.cache_inserted(&path, size);
-                            }
-                            s.end();
-                            // Application read from the warm local cache.
-                            let r = rec.region("read_single_buf");
-                            let got = try_read_local(&svc.fs, &path).await;
-                            r.end();
-                            if let Some(got) = got {
-                                break got;
-                            }
-                        }
-                    }
-                }
-                // Re-read the metadata and try again at its new home.
-                let v = svc
-                    .kvs
-                    .lookup(&path)
-                    .await
-                    .unwrap_or_else(|| panic!("frame {path} retired before consume"));
-                meta = FrameMeta::decode(v.value);
-            };
-            data = Some(fetched);
-        }
-        let data = data.expect("consume resolved a payload");
-        g.end();
-
-        // Publish the consumption ack asynchronously: retention cares,
-        // the application does not, so the commit must not add to the
-        // consume latency.
-        if let Some(st) = &svc.staging {
-            let st = st.clone();
-            let p = path.clone();
-            let id = self.id.clone();
-            svc.ctx.spawn(async move {
-                st.publish_ack(&p, &id).await;
-            });
-        }
-
-        let size = transport::payload_len(&data);
-        let mut inner = svc.inner.borrow_mut();
-        inner.stats.consumes += 1;
-        inner.stats.bytes_consumed += size;
-        data
-    }
-
-    /// Fallible [`DyadConsumer::consume`] for fault runs. Differences
-    /// from the infallible path:
-    ///
-    /// * metadata ops ride the retrying KVS client (broker outages are
-    ///   absorbed, then surface as [`DyadError::Transport`]);
-    /// * the RDMA fetch retries with backoff; when the owner node is
-    ///   down the consumer falls back to the frame's PFS spill copy
-    ///   (re-fetching through the spill path) instead of waiting for
-    ///   the restart;
-    /// * a [`FrameLocation::Lost`] tombstone (owner crashed before the
-    ///   frame could spill) surfaces as [`DyadError::FrameLost`] instead
-    ///   of blocking forever;
-    /// * the resolve loop is bounded by the policy's attempt budget and
-    ///   fails typed ([`DyadError::Unresolvable`]) instead of panicking.
-    pub async fn try_consume(&mut self, rec: &Recorder, name: &str) -> Result<Payload, DyadError> {
-        let svc = self.svc.clone();
-        let path = svc.managed_path(name);
-        let policy = dyad_retry_policy();
-        let g = rec.region("dyad_consume");
-
-        // --- Synchronization ------------------------------------------
-        let mut data: Option<Payload> = None;
-        if svc.fs.exists(&path) {
-            let f = rec.region("dyad_sync_flock");
-            let locked = svc.fs.flock(&path, LockKind::Shared).await.is_ok();
-            if locked {
-                let _ = svc.fs.funlock(&path, LockKind::Shared).await;
-            }
-            f.end();
-            if locked {
-                let r = rec.region("read_single_buf");
-                data = try_read_local(&svc.fs, &path).await;
-                r.end();
-                if data.is_some() {
-                    svc.inner.borrow_mut().stats.local_hits += 1;
-                    self.warmed = true;
-                }
-            }
-        }
-
-        if data.is_none() {
-            let meta_res: Result<FrameMeta, DyadError> = {
-                let f = rec.region("dyad_fetch");
-                let r = if self.warmed && svc.spec.warm_sync {
-                    match svc.kvs.try_lookup(&path).await {
-                        Ok(Some(v)) => {
-                            svc.inner.borrow_mut().stats.warm_syncs += 1;
-                            Ok(FrameMeta::decode(v.value))
-                        }
-                        Ok(None) => {
-                            rec.annotate("cold_fallbacks", 1.0);
-                            svc.inner.borrow_mut().stats.cold_syncs += 1;
-                            try_cold_wait(&svc, rec, &path)
-                                .await
-                                .map(|v| FrameMeta::decode(v.value))
-                                .map_err(DyadError::from)
-                        }
-                        Err(e) => Err(e.into()),
-                    }
-                } else {
-                    svc.inner.borrow_mut().stats.cold_syncs += 1;
-                    try_cold_wait(&svc, rec, &path)
-                        .await
-                        .map(|v| FrameMeta::decode(v.value))
-                        .map_err(DyadError::from)
-                };
-                f.end();
-                r
-            };
-            let mut meta = meta_res?;
-            self.warmed = true;
-
-            // --- Data movement with recovery --------------------------
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                if attempts > policy.max_attempts {
-                    return Err(DyadError::Unresolvable {
-                        path,
-                        attempts: attempts - 1,
-                    });
-                }
-                match meta.location {
-                    FrameLocation::Lost => {
-                        return Err(DyadError::FrameLost { path });
-                    }
-                    FrameLocation::Pfs => {
-                        if let Some(pfs) = svc.staging.as_ref().and_then(|st| st.pfs_client()) {
-                            let r = rec.region("dyad_pfs_fallback");
-                            let got = read_pfs(pfs, &path).await;
-                            r.end();
-                            if let Some(got) = got {
-                                if let Some(st) = &svc.staging {
-                                    st.note_pfs_fallback();
-                                }
-                                break got;
-                            }
-                            // Spill copy gone: the owner (or its
-                            // restart hook) will tombstone or
-                            // re-publish; re-resolve below.
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == svc.node => {
-                        let r = rec.region("read_single_buf");
-                        let got = try_read_local(&svc.fs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        let r = rec.region("dyad_get_data");
-                        let fetch = svc
-                            .ep
-                            .bulk_rpc_retrying(
-                                meta.owner,
-                                DYAD_AM,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                                &policy,
-                                &mut self.rng,
-                            )
-                            .await;
-                        r.end();
-                        match fetch {
-                            Ok((_, got)) if transport::payload_len(&got) > 0 => {
-                                let stored = self.store_cache(rec, &path, got).await;
-                                if let Some(got) = stored {
-                                    break got;
-                                }
-                            }
-                            Ok(_) => {
-                                // Owner answered but no longer holds the
-                                // file (spilled or lost underneath us):
-                                // re-resolve through the KVS.
-                            }
-                            Err(_) => {
-                                // Owner unreachable (crashed mid-window):
-                                // try the PFS spill copy before waiting
-                                // out the restart.
-                                rec.annotate("dead_owner_fallbacks", 1.0);
-                                if let Some(pfs) =
-                                    svc.staging.as_ref().and_then(|st| st.pfs_client())
-                                {
-                                    let r = rec.region("dyad_pfs_fallback");
-                                    let got = read_pfs(pfs, &path).await;
-                                    r.end();
-                                    if let Some(got) = got {
-                                        if let Some(st) = &svc.staging {
-                                            st.note_pfs_fallback();
-                                        }
-                                        break got;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                // Back off, then re-read the metadata and retry at the
-                // frame's (possibly new) home.
-                let pause = policy.backoff(attempts - 1, &mut self.rng);
-                svc.ctx.sleep(pause).await;
-                match svc.kvs.try_lookup(&path).await {
-                    Ok(Some(v)) => meta = FrameMeta::decode(v.value),
-                    // Metadata gone while we hold an unconsumed
-                    // reference: the frame is unrecoverable.
-                    Ok(None) => return Err(DyadError::FrameLost { path }),
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            data = Some(fetched);
-        }
-        let data = data.expect("consume resolved a payload");
-        g.end();
-
-        if let Some(st) = &svc.staging {
-            let st = st.clone();
-            let p = path.clone();
-            let id = self.id.clone();
-            svc.ctx.spawn(async move {
-                let _ = st.try_publish_ack(&p, &id).await;
-            });
-        }
-
-        let size = transport::payload_len(&data);
-        let mut inner = svc.inner.borrow_mut();
-        inner.stats.consumes += 1;
-        inner.stats.bytes_consumed += size;
-        Ok(data)
-    }
-
-    /// Stage a fetched remote frame into the local cache and read it
-    /// back. `None` when the cache write failed (device-error window) —
-    /// the caller re-resolves; meanwhile serve nothing rather than a
-    /// partial frame.
-    async fn store_cache(&self, rec: &Recorder, path: &str, got: Payload) -> Option<Payload> {
-        let svc = &self.svc;
-        let s = rec.region("dyad_cons_store");
-        svc.ensure_dirs(path).await;
-        let tmp = format!("{path}.tmp-{}", svc.node.0);
-        let size = transport::payload_len(&got);
-        let write: FsResult<()> = async {
-            let fd = svc.fs.create(&tmp).await?;
-            for seg in got {
-                svc.fs.write_bytes(fd, seg).await?;
-            }
-            svc.fs.close(fd).await?;
-            svc.fs.rename(&tmp, path).await?;
-            Ok(())
-        }
-        .await;
-        if write.is_err() {
-            let _ = svc.fs.unlink(&tmp).await;
-            s.end();
-            return None;
-        }
-        if let Some(st) = &svc.staging {
-            st.cache_inserted(path, size);
-        }
-        s.end();
-        let r = rec.region("read_single_buf");
-        let got = try_read_local(&svc.fs, path).await;
-        r.end();
-        got
+        self.try_consume(rec, name).await.expect("dyad consume")
     }
 
     /// Whether this session has completed its cold first sync.
     pub fn is_warm(&self) -> bool {
-        self.warmed
+        self.session.is_warm()
     }
-}
-
-/// Fallible cold synchronization (see [`cold_wait`]).
-async fn try_cold_wait(
-    svc: &Rc<DyadService>,
-    rec: &Recorder,
-    path: &str,
-) -> Result<kvs::VersionedValue, TransportError> {
-    if svc.spec.cold_sync_poll {
-        // The counted variant reports polls on *both* exits: a consumer
-        // that gave up after 40 polls still sent 40 RPCs, and dropping
-        // them undercounted metadata load exactly on the runs (faulty
-        // ones) where the poll pressure is most interesting.
-        let (res, polls) = svc.kvs.try_wait_key_poll_counted(path).await;
-        annotate_polls(svc, rec, path, polls);
-        res
-    } else {
-        svc.kvs.try_wait_key(path).await
-    }
-}
-
-/// The cold synchronization: a parked server-side watch by default, or
-/// client-side polling under the `cold_sync_poll` ablation.
-async fn cold_wait(svc: &Rc<DyadService>, rec: &Recorder, path: &str) -> kvs::VersionedValue {
-    if svc.spec.cold_sync_poll {
-        let (v, polls) = svc.kvs.wait_key_poll(path).await;
-        annotate_polls(svc, rec, path, polls);
-        v
-    } else {
-        svc.kvs.wait_key(path).await
-    }
-}
-
-/// Record the poll count, plus a per-shard breakdown when the metadata
-/// plane has more than one shard, so the metadata-plane sweep can
-/// attribute poll load to individual broker shards.
-fn annotate_polls(svc: &Rc<DyadService>, rec: &Recorder, path: &str, polls: u64) {
-    rec.annotate("kvs_polls", polls as f64);
-    if svc.kvs.topology().shards() > 1 {
-        let shard = svc.kvs.shard_of(path);
-        rec.annotate(&format!("kvs_polls_shard{shard}"), polls as f64);
-    }
-}
-
-/// Read a whole local file; `None` when it vanished (staging eviction
-/// between probe and open — the orphaned-inode semantics in `localfs`
-/// cover an unlink *after* the open).
-async fn try_read_local(fs: &LocalFs, path: &str) -> Option<Payload> {
-    let fd = fs.open(path).await.ok()?;
-    let data = fs.read_segments(fd).await.ok()?;
-    let _ = fs.close(fd).await;
-    Some(data)
-}
-
-/// Read a spilled frame's PFS copy; `None` when it is already retired.
-async fn read_pfs(pfs: &PfsClient, path: &str) -> Option<Payload> {
-    let fd = pfs.open(&staging::spill_path(path)).await.ok()?;
-    let data = pfs.read_segments(fd).await.ok()?;
-    let _ = pfs.close(fd).await;
-    Some(data)
 }
 
 #[cfg(test)]
@@ -1473,7 +760,7 @@ mod tests {
         assert!(ok0, "spilled frame did not survive the crash");
         assert_eq!(
             lost,
-            Err(DyadError::FrameLost {
+            Err(ladder::Error::Lost {
                 path: "/dyad/s/1".to_string()
             })
         );
@@ -1530,10 +817,151 @@ mod tests {
         let res = h.try_take().expect("consume of a lost frame hung");
         assert_eq!(
             res,
-            Err(DyadError::FrameLost {
+            Err(ladder::Error::Lost {
                 path: "/dyad/s/0".to_string()
             })
         );
         assert_eq!(rig.pmgr.stats().frames_lost, 1);
+    }
+
+    #[test]
+    fn fault_free_refetch_after_mid_consume_spill_takes_no_backoff() {
+        // No fault board. The consumer reads the frame's NVMe metadata;
+        // then, while its fetch waits in the owner's (deliberately slow)
+        // data service, the owner's evictor spills the frame to the PFS
+        // and unlinks it. The fetch comes back empty and the consumer
+        // re-resolves to the spill copy. The completion time and the
+        // counters are pinned: a retry pause leaking into the no-board
+        // path would move them.
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let cl = Cluster::build(&ctx, &ClusterSpec::corona(4));
+        let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
+        let _kvs_server = KvsServer::start(&ctx, &tp, NodeId(0), KvsSpec::default());
+        let pfs = pfs::ParallelFs::start(
+            &ctx,
+            &tp,
+            NodeId(2),
+            vec![NodeId(3)],
+            pfs::PfsSpec::default(),
+        );
+        let spec = DyadSpec {
+            service_threads: 1,
+            service_time: SimDuration::from_millis(200),
+            ..DyadSpec::default()
+        };
+        let frame_bytes = Model::Jac.frame_bytes();
+        let mk = |i: u32, budget: u64| {
+            let fs = LocalFs::new(
+                &ctx,
+                cl.node(NodeId(i)).nvme.clone(),
+                LocalFsSpec::default(),
+            );
+            let kc = KvsClient::new(&ctx, &tp, NodeId(i), NodeId(0), KvsSpec::default());
+            let sspec = staging::StagingSpec {
+                budget_bytes: budget,
+                low_watermark: 0.4,
+                high_watermark: 0.8,
+                ..staging::StagingSpec::default()
+            };
+            let mgr = staging::StagingManager::new(
+                &ctx,
+                NodeId(i),
+                fs.clone(),
+                kc.clone(),
+                Some(pfs.client(&ctx, NodeId(i))),
+                sspec,
+            );
+            let svc = DyadService::start_staged(
+                &ctx,
+                &tp,
+                NodeId(i),
+                fs,
+                kc,
+                spec.clone(),
+                Some(mgr.clone()),
+            );
+            (svc, mgr)
+        };
+        let (prod, pmgr) = mk(0, 2 * frame_bytes);
+        let (cons, cmgr) = mk(1, u64::MAX);
+        {
+            let prod = prod.clone();
+            let ctx = sim.ctx();
+            sim.spawn(async move {
+                let rec = Recorder::new(&ctx);
+                let (_, f) = frame(0);
+                prod.produce(&rec, "m/0", f).await;
+            });
+        }
+        {
+            // One evictor pass at 150 ms: one staged frame is above the
+            // low watermark, so it spills.
+            let pmgr = pmgr.clone();
+            let ctx = sim.ctx();
+            sim.spawn(async move {
+                ctx.sleep(SimDuration::from_millis(150)).await;
+                pmgr.evict_pass().await;
+            });
+        }
+        let ctx2 = sim.ctx();
+        let session_svc = cons.clone();
+        let h = sim.spawn(async move {
+            ctx2.sleep(SimDuration::from_millis(100)).await;
+            let rec = Recorder::new(&ctx2);
+            let mut session = session_svc.consumer_with_id("c0");
+            let got = session.consume(&rec, "m/0").await;
+            let t = FrameTemplate::generate(Model::Jac, 5);
+            (t.validate(&got, 0), ctx2.now().nanos(), rec.finish())
+        });
+        sim.run_until(SimTime::from_nanos(10_000_000_000));
+        let (ok, done_ns, profile) = h.try_take().expect("consume hung");
+        assert!(ok, "frame corrupted");
+        let count = |region: &str| profile.node(&["dyad_consume", region]).map(|n| n.count);
+        assert_eq!(count("dyad_get_data"), Some(1), "no fetch went out");
+        assert_eq!(
+            count("dyad_pfs_fallback"),
+            Some(1),
+            "no re-resolve to the PFS"
+        );
+        assert_eq!(count("dyad_cons_store"), None);
+        // Values measured on the two-copy implementation this ladder
+        // replaced, whose fault-free path never paused.
+        assert_eq!(done_ns, 301_026_962, "consume completion moved");
+        let frame = Model::Jac.frame_bytes();
+        assert_eq!(
+            prod.stats(),
+            DyadStats {
+                produces: 1,
+                fetches_served: 1,
+                bytes_produced: frame,
+                ..DyadStats::default()
+            }
+        );
+        assert_eq!(
+            cons.stats(),
+            DyadStats {
+                consumes: 1,
+                cold_syncs: 1,
+                bytes_consumed: frame,
+                ..DyadStats::default()
+            }
+        );
+        assert_eq!(
+            format!("{:?}", pmgr.stats()),
+            "StagingStats { frames_tracked: 1, staged_bytes: 0, peak_staged_bytes: 659672, \
+             retired_frames: 0, retired_bytes: 0, spilled_frames: 1, spilled_bytes: 659672, \
+             cache_evictions: 0, backpressure_stalls: 0, backpressure_wait: 0ns, \
+             pfs_fallbacks: 0, acks_published: 0, frames_lost: 0, lost_bytes: 0, \
+             republished_frames: 0 }"
+        );
+        assert_eq!(
+            format!("{:?}", cmgr.stats()),
+            "StagingStats { frames_tracked: 0, staged_bytes: 0, peak_staged_bytes: 0, \
+             retired_frames: 0, retired_bytes: 0, spilled_frames: 0, spilled_bytes: 0, \
+             cache_evictions: 0, backpressure_stalls: 0, backpressure_wait: 0ns, \
+             pfs_fallbacks: 1, acks_published: 1, frames_lost: 0, lost_bytes: 0, \
+             republished_frames: 0 }"
+        );
     }
 }

@@ -51,7 +51,7 @@ pub struct KvsSpec {
     pub service_time: SimDuration,
     /// Parallel service threads in the broker.
     pub server_threads: u64,
-    /// Client polling interval for [`KvsClient::wait_key_poll`].
+    /// Client polling interval for [`KvsClient::try_wait_key_poll_counted`].
     pub poll_interval: SimDuration,
 }
 
@@ -346,10 +346,21 @@ impl KvsClient {
         self.shards[self.route(key) as usize].send(req).await
     }
 
-    /// A fallible request with preference-list failover: each live
-    /// replica is tried with its full retry budget; errors only when
-    /// every replica is exhausted or down.
+    /// A fallible request. Without a fault board nothing can fail, so
+    /// it is the plain request; with one, the failover runs boxed, which
+    /// keeps its state out of every fault-free caller's future (the
+    /// data ladder awaits only `try_*` calls).
     async fn try_call(&self, key: &str, req: Request) -> Result<Response, TransportError> {
+        if self.board.is_none() {
+            return Ok(self.call(key, req).await);
+        }
+        Box::pin(self.failover(key, req)).await
+    }
+
+    /// Preference-list failover: each live replica is tried with its
+    /// full retry budget; errors only when every replica is exhausted or
+    /// down.
+    async fn failover(&self, key: &str, req: Request) -> Result<Response, TransportError> {
         let mut last = Err(TransportError::Unreachable {
             node: self.topo.node(self.topo.owner(key)),
         });
@@ -379,21 +390,6 @@ impl KvsClient {
     /// that parks in the broker. This is DYAD's cold-path synchronization.
     pub async fn wait_key(&self, key: &str) -> VersionedValue {
         woken(self.call(key, Request::WaitKey { key: intern(key) }).await)
-    }
-
-    /// Block until `key` exists by **client-side polling** every
-    /// [`KvsSpec::poll_interval`]. Each probe is a full lookup RPC,
-    /// routed per poll. Used by the synchronization ablation; returns
-    /// the value and the number of polls issued.
-    pub async fn wait_key_poll(&self, key: &str) -> (VersionedValue, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            if let Some(v) = self.lookup(key).await {
-                return (v, polls);
-            }
-            self.ctx.sleep(self.poll_interval).await;
-        }
     }
 
     /// Remove `key`.
@@ -429,10 +425,12 @@ impl KvsClient {
             .map(woken)
     }
 
-    /// Fallible [`KvsClient::wait_key_poll`] reporting the poll count on
-    /// *both* exits, so callers can account for the RPCs a failed wait
-    /// already issued. Each poll is a [`KvsClient::try_lookup`]; an
-    /// error means every replica of the key failed.
+    /// Block until `key` exists by **client-side polling** every
+    /// [`KvsSpec::poll_interval`] (the synchronization ablation). Each
+    /// probe is a [`KvsClient::try_lookup`], routed per poll; an error
+    /// means every replica of the key failed. The poll count is
+    /// reported on *both* exits, so callers can account for the RPCs a
+    /// failed wait already issued.
     pub async fn try_wait_key_poll_counted(
         &self,
         key: &str,
@@ -658,7 +656,7 @@ mod tests {
         let sim = Sim::new(0);
         let rig = setup(&sim, 3);
         let consumer = client(&sim, &rig, 2);
-        let h = sim.spawn(async move { consumer.wait_key_poll("x").await });
+        let h = sim.spawn(async move { consumer.try_wait_key_poll_counted("x").await });
         let producer = client(&sim, &rig, 1);
         let ctx = sim.ctx();
         sim.spawn(async move {
@@ -667,7 +665,7 @@ mod tests {
         });
         sim.run();
         let (v, polls) = h.try_take().unwrap();
-        assert_eq!(v.value, Bytes::from_static(b"y"));
+        assert_eq!(v.unwrap().value, Bytes::from_static(b"y"));
         // ~10 ms at 1 ms poll interval: about 10 polls.
         assert!((8..=13).contains(&polls), "{polls} polls");
     }

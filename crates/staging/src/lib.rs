@@ -492,22 +492,15 @@ impl StagingManager {
         self.track(path, size, FrameKind::Cache, FrameState::Published);
     }
 
-    /// Commit the consumption acknowledgement for (`path`, `consumer`).
-    pub async fn publish_ack(&self, path: &str, consumer: &str) {
-        self.kvs
-            .commit(&ack_key(path, consumer), Bytes::from_static(b"1"))
-            .await;
-        self.inner.borrow_mut().stats.acks_published += 1;
-    }
-
     /// Note a consumer fetch that fell back to the PFS copy.
     pub fn note_pfs_fallback(&self) {
         self.inner.borrow_mut().stats.pfs_fallbacks += 1;
     }
 
-    /// Fallible [`StagingManager::publish_ack`]: under a fault plan the
-    /// broker may be unreachable; the caller decides whether a lost ack
-    /// is fatal (it is not — an unacked frame is merely retained longer).
+    /// Commit the consumption acknowledgement for (`path`, `consumer`).
+    /// Under a fault plan the broker may be unreachable; the caller
+    /// decides whether a lost ack is fatal (it is not — an unacked frame
+    /// is merely retained longer).
     pub async fn try_publish_ack(
         &self,
         path: &str,

@@ -135,7 +135,9 @@ fn evictor_retires_fully_acked_frames_under_pressure() {
                 produce(&rig, &format!("/dyad/frames/f{i}"), 64 * KIB).await;
             }
             for i in 0..4 {
-                mgr.publish_ack(&format!("/dyad/frames/f{i}"), "c0").await;
+                mgr.try_publish_ack(&format!("/dyad/frames/f{i}"), "c0")
+                    .await
+                    .unwrap();
             }
         });
     }
@@ -179,7 +181,9 @@ fn evictor_never_retires_unacked_frames() {
             }
             // Only one of two registered consumers acks.
             for i in 0..4 {
-                mgr.publish_ack(&format!("/dyad/frames/f{i}"), "c0").await;
+                mgr.try_publish_ack(&format!("/dyad/frames/f{i}"), "c0")
+                    .await
+                    .unwrap();
             }
         });
     }
@@ -373,7 +377,7 @@ fn eager_retire_frees_acked_frames_without_pressure() {
         let mgr = mgr.clone();
         sim.spawn(async move {
             produce(&rig, "/dyad/frames/f0", 32 * KIB).await;
-            mgr.publish_ack("/dyad/frames/f0", "c0").await;
+            mgr.try_publish_ack("/dyad/frames/f0", "c0").await.unwrap();
         });
     }
     run_for(&sim, 3);
@@ -398,7 +402,7 @@ fn retire_removes_kvs_metadata_and_acks() {
         let mgr = mgr.clone();
         sim.spawn(async move {
             produce(&rig, "/dyad/frames/f0", 16 * KIB).await;
-            mgr.publish_ack("/dyad/frames/f0", "c0").await;
+            mgr.try_publish_ack("/dyad/frames/f0", "c0").await.unwrap();
         });
     }
     run_for(&sim, 3);
@@ -432,7 +436,9 @@ fn determinism_same_seed_same_eviction_history() {
                 for i in 0..10 {
                     produce(&rig, &format!("/dyad/frames/f{i}"), 48 * KIB).await;
                     if i % 2 == 0 {
-                        mgr.publish_ack(&format!("/dyad/frames/f{i}"), "c0").await;
+                        mgr.try_publish_ack(&format!("/dyad/frames/f{i}"), "c0")
+                            .await
+                            .unwrap();
                     }
                     ctx.sleep(SimDuration::from_millis(150)).await;
                 }
@@ -484,8 +490,8 @@ mod props {
                     for i in 0..10u32 {
                         produce(&rig, &format!("/dyad/frames/f{i}"), frame).await;
                         if acked_mask & (1 << i) != 0 {
-                            mgr.publish_ack(&format!("/dyad/frames/f{i}"), "c0").await;
-                            mgr.publish_ack(&format!("/dyad/frames/f{i}"), "c1").await;
+                            mgr.try_publish_ack(&format!("/dyad/frames/f{i}"), "c0").await.unwrap();
+                            mgr.try_publish_ack(&format!("/dyad/frames/f{i}"), "c1").await.unwrap();
                         }
                         ctx.sleep(SimDuration::from_millis(100)).await;
                     }

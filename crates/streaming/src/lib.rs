@@ -7,13 +7,15 @@
 //! backend where producers publish **steps** and subscriber groups pull
 //! them over the fabric, with flow control instead of unbounded staging.
 //!
-//! This crate is that backend, built as a peer of [`dyad`] on the same
-//! substrates:
+//! This crate is that backend, and it moves data through the same
+//! managed-path ladder as DYAD ([`dyad::ladder`]), configured with the
+//! `stream_*` region names. Like openPMD choosing a file or SST engine
+//! behind one API, the two backends differ in protocol, not in
+//! plumbing:
 //!
-//! * **Publishers** aggregate frames into steps, write them to
-//!   node-local storage, and publish `(owner, size)` step metadata to
-//!   the [`kvs`] — the same rendezvous path DYAD uses, so the two
-//!   backends differ only in protocol, not in plumbing.
+//! * **Publishers** aggregate frames into steps and push each one
+//!   through the ladder's produce path: node-local write, then
+//!   `(owner, size)` step metadata in the [`kvs`].
 //! * A **bounded in-flight window** ([`StreamWindow`]) backpressures the
 //!   publisher: at most `window` unacknowledged steps may be open.
 //!   Release rides the *existing* staging consumption-ack keys
@@ -22,12 +24,14 @@
 //!   there is no second ack channel to leak slots under faults.
 //! * **Subscriber groups** ([`GroupMode`]) consume each step either
 //!   broadcast (every subscriber gets every step) or partitioned (each
-//!   step goes to exactly one subscriber, round-robin).
+//!   step goes to exactly one subscriber, round-robin), each through the
+//!   ladder's consume path.
 //! * **Reduction trees** ([`ReductionTree`]) give K→1 fan-in a
 //!   deterministic pairwise combine schedule with byte conservation.
-//! * Under a fault plan, a crashed subscriber's window slots can be
-//!   **reclaimed** (`reclaim_on_crash`) instead of head-of-line
-//!   stalling the publisher until the restart.
+//! * Under a fault board, a full window polls instead of parking on an
+//!   ack watch (the acking subscriber may have crashed), and a crashed
+//!   subscriber's window slots can be **reclaimed** (`reclaim_on_crash`)
+//!   instead of head-of-line stalling the publisher until the restart.
 //!
 //! Every phase is wrapped in [`instrument`] regions (`stream_publish`,
 //! `stream_window_wait`, `stream_sync`, `stream_get_data`, ...) so the
@@ -38,21 +42,20 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NodeId;
-use faults::{FaultBoard, RetryPolicy};
+use dyad::ladder::{self, Ladder, LadderSpec, Regions, Session};
 use instrument::Recorder;
 use kvs::KvsClient;
-use localfs::{FsResult, LocalFs, LockKind};
-use pfs::PfsClient;
+use localfs::LocalFs;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use simcore::resource::FifoResource;
+use rand::SeedableRng;
 use simcore::{Ctx, SimDuration};
 use staging::{ack_key, StagingManager};
-use transport::{AmId, Endpoint, LocalBoxFuture, Payload, Transport, TransportError};
+use transport::{AmId, Payload, Transport};
 
 pub use staging::{FrameLocation, FrameMeta};
 
@@ -61,6 +64,23 @@ pub const STREAM_AM: AmId = AmId(0x5354);
 
 /// Root of the stream-managed directory on every node's local fs.
 pub const DEFAULT_MANAGED_DIR: &str = "/stream";
+
+/// Poll interval of a full window under a fault board (without one the
+/// publisher parks on the head-of-line ack's KVS watch and never polls).
+pub const STALL_POLL: SimDuration = SimDuration::from_millis(2);
+
+/// The streaming backend's region names.
+pub static REGIONS: Regions = Regions {
+    produce: "stream_publish",
+    write: "stream_write",
+    commit: "stream_commit",
+    consume: "stream_consume",
+    probe: "stream_sync",
+    sync: "stream_sync",
+    get_data: "stream_get_data",
+    cons_store: "stream_cons_store",
+    pfs_fallback: "stream_pfs_fallback",
+};
 
 // ---------------------------------------------------------------------------
 // Subscriber groups
@@ -350,70 +370,6 @@ impl ReductionTree {
 }
 
 // ---------------------------------------------------------------------------
-// Errors and policy
-// ---------------------------------------------------------------------------
-
-/// Errors surfaced by the fallible publish/consume paths under a fault
-/// plan. Without faults these paths cannot fail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamError {
-    /// Every copy of the step is gone (publisher node crashed before
-    /// the step could be re-homed).
-    StepLost {
-        /// Managed path of the lost step.
-        path: String,
-    },
-    /// A transport-level failure survived the retry budget.
-    Transport(TransportError),
-    /// Local storage kept failing while writing the step.
-    Storage {
-        /// Managed path of the step being written.
-        path: String,
-    },
-    /// The step could not be resolved to a live copy within the
-    /// retry budget.
-    Unresolvable {
-        /// Managed path of the step.
-        path: String,
-        /// Fetch attempts made.
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::StepLost { path } => write!(f, "step {path} lost (no surviving copy)"),
-            StreamError::Transport(e) => write!(f, "transport failure: {e}"),
-            StreamError::Storage { path } => write!(f, "local storage failure writing {path}"),
-            StreamError::Unresolvable { path, attempts } => {
-                write!(f, "step {path} unresolvable after {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<TransportError> for StreamError {
-    fn from(e: TransportError) -> Self {
-        StreamError::Transport(e)
-    }
-}
-
-/// Retry policy shaping the streaming recovery loops; same envelope as
-/// DYAD's (outages last milliseconds-to-seconds).
-pub fn stream_retry_policy() -> RetryPolicy {
-    RetryPolicy {
-        base: SimDuration::from_millis(1),
-        cap: SimDuration::from_millis(500),
-        max_attempts: 12,
-        jitter_frac: 0.25,
-        attempt_timeout: SimDuration::from_millis(100),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Spec + stats
 // ---------------------------------------------------------------------------
 
@@ -437,9 +393,6 @@ pub struct StreamSpec {
     /// Under a fault plan, reclaim window slots held by subscribers on
     /// crashed nodes instead of head-of-line stalling until restart.
     pub reclaim_on_crash: bool,
-    /// Poll interval of the faulted window-stall loop (the infallible
-    /// path parks on a KVS watch instead and never polls).
-    pub stall_poll: SimDuration,
 }
 
 impl Default for StreamSpec {
@@ -452,7 +405,6 @@ impl Default for StreamSpec {
             service_time: SimDuration::from_micros(10),
             warm_sync: true,
             reclaim_on_crash: true,
-            stall_poll: SimDuration::from_millis(2),
         }
     }
 }
@@ -486,27 +438,19 @@ pub struct StreamStats {
     pub local_hits: u64,
 }
 
-struct ServiceInner {
-    stats: StreamStats,
-    dirs_made: std::collections::HashSet<String>,
-}
-
 // ---------------------------------------------------------------------------
 // Per-node service
 // ---------------------------------------------------------------------------
 
-/// The per-node stream service: owns the node's managed directory,
-/// serves remote step-fetch requests, and opens publisher/subscriber
-/// sessions.
+/// The per-node stream service: the ladder (managed directory, step
+/// service, publish/consume paths) plus the window settings, opening
+/// publisher/subscriber sessions.
 pub struct StreamService {
-    ctx: Ctx,
-    node: NodeId,
-    fs: LocalFs,
-    kvs: KvsClient,
-    ep: Endpoint,
-    spec: Rc<StreamSpec>,
-    staging: Option<Rc<StagingManager>>,
-    inner: Rc<RefCell<ServiceInner>>,
+    ladder: Ladder,
+    window: usize,
+    reclaim_on_crash: bool,
+    /// The window counters; the ladder keeps the rest.
+    window_stats: RefCell<StreamStats>,
 }
 
 impl StreamService {
@@ -537,116 +481,57 @@ impl StreamService {
         spec: StreamSpec,
         staging: Option<Rc<StagingManager>>,
     ) -> Rc<StreamService> {
-        let spec = Rc::new(spec);
-        let inner = Rc::new(RefCell::new(ServiceInner {
-            stats: StreamStats::default(),
-            dirs_made: std::collections::HashSet::new(),
-        }));
-        let service = FifoResource::new(ctx, spec.service_threads);
-        let svc = Rc::new(StreamService {
-            ctx: ctx.clone(),
-            node,
-            fs: fs.clone(),
-            kvs,
-            ep: tp.endpoint(node),
-            spec: spec.clone(),
-            staging,
-            inner: inner.clone(),
-        });
-        let hfs = fs;
-        let hspec = spec;
-        let hinner = inner;
-        tp.register_bulk(
-            node,
-            STREAM_AM,
-            Rc::new(move |hdr: Bytes, _payload: Payload| {
-                let fs = hfs.clone();
-                let spec = hspec.clone();
-                let inner = hinner.clone();
-                let service = service.clone();
-                Box::pin(async move {
-                    service.request(spec.service_time).await;
-                    let path = String::from_utf8(hdr.to_vec()).expect("utf-8 path");
-                    let data = match fs.open(&path).await {
-                        Ok(fd) => {
-                            let segs = fs.read_segments(fd).await.unwrap_or_default();
-                            let _ = fs.close(fd).await;
-                            segs
-                        }
-                        Err(_) => Vec::new(),
-                    };
-                    inner.borrow_mut().stats.fetches_served += 1;
-                    (Bytes::new(), data)
-                }) as LocalBoxFuture<(Bytes, Payload)>
-            }),
-        );
-        svc
+        let lspec = LadderSpec {
+            regions: &REGIONS,
+            am: STREAM_AM,
+            managed_dir: spec.managed_dir,
+            commit_overhead: spec.publish_overhead,
+            service_threads: spec.service_threads,
+            service_time: spec.service_time,
+            warm_sync: spec.warm_sync,
+            cold_sync_poll: false,
+            // The window watches the ack keys even without staging.
+            bare_acks: true,
+        };
+        Rc::new(StreamService {
+            ladder: Ladder::start(ctx, tp, node, fs, kvs, staging, lspec),
+            window: spec.window as usize,
+            reclaim_on_crash: spec.reclaim_on_crash,
+            window_stats: RefCell::new(StreamStats::default()),
+        })
     }
 
     /// The node this service runs on.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.ladder.node()
     }
 
     /// Operation counters.
     pub fn stats(&self) -> StreamStats {
-        self.inner.borrow().stats
+        let l = self.ladder.stats();
+        StreamStats {
+            steps_published: l.produces,
+            steps_consumed: l.consumes,
+            bytes_published: l.bytes_produced,
+            bytes_consumed: l.bytes_consumed,
+            fetches_served: l.fetches_served,
+            cold_syncs: l.cold_syncs,
+            warm_syncs: l.warm_syncs,
+            local_hits: l.local_hits,
+            ..*self.window_stats.borrow()
+        }
     }
 
     /// The managed path for a logical step name.
     pub fn managed_path(&self, name: &str) -> String {
-        format!("{}/{}", self.spec.managed_dir, name.trim_start_matches('/'))
-    }
-
-    async fn ensure_dirs(&self, path: &str) {
-        let Some(dir) = path.rsplit_once('/').map(|(d, _)| d.to_string()) else {
-            return;
-        };
-        let need = !self.inner.borrow().dirs_made.contains(&dir);
-        if need {
-            let _ = self.fs.mkdir_p(&dir).await;
-            self.inner.borrow_mut().dirs_made.insert(dir);
-        }
-    }
-
-    /// Write a step to the managed directory with atomic tmp+rename
-    /// publication; on failure the tmp file is removed so a retry
-    /// starts clean.
-    async fn write_step(&self, path: &str, step: Payload) -> FsResult<()> {
-        self.ensure_dirs(path).await;
-        let tmp = format!("{path}.tmp");
-        let res: FsResult<()> = async {
-            let fd = self.fs.create(&tmp).await?;
-            for seg in step {
-                self.fs.write_bytes(fd, seg).await?;
-            }
-            self.fs.close(fd).await?;
-            self.fs.rename(&tmp, path).await?;
-            Ok(())
-        }
-        .await;
-        if res.is_err() {
-            let _ = self.fs.unlink(&tmp).await;
-        }
-        res
+        self.ladder.managed_path(name)
     }
 
     /// Open a publisher session (owns a bounded in-flight window).
     pub fn publisher(self: &Rc<Self>) -> StreamPublisher {
         StreamPublisher {
             svc: self.clone(),
-            window: StreamWindow::new(self.spec.window as usize),
-            faults: None,
-        }
-    }
-
-    /// Open a publisher session that consults `board` for subscriber
-    /// liveness (enables `reclaim_on_crash` window recovery).
-    pub fn publisher_faulted(self: &Rc<Self>, board: FaultBoard) -> StreamPublisher {
-        StreamPublisher {
-            svc: self.clone(),
-            window: StreamWindow::new(self.spec.window as usize),
-            faults: Some(board),
+            window: StreamWindow::new(self.window),
         }
     }
 
@@ -654,24 +539,91 @@ impl StreamService {
     /// (the id the workflow registered on the publisher's staging
     /// manager — acks under this id drive retention and window release).
     pub fn subscriber(self: &Rc<Self>, id: &str) -> StreamSubscriber {
-        // FNV-1a over the id gives each session its own deterministic
-        // backoff-jitter stream (only drawn from under a fault plan).
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in id.as_bytes() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x100000001b3);
-        }
-        let rng = StdRng::seed_from_u64(
-            self.ctx
-                .rng(0x5354_0000 ^ u64::from(self.node.0))
-                .random::<u64>()
-                ^ h,
-        );
         StreamSubscriber {
+            session: self.ladder.session(id),
             svc: self.clone(),
-            id: id.to_string(),
-            warmed: false,
-            rng,
         }
+    }
+
+    /// Sweep the KVS ack keys of every pending step and release the
+    /// fully-acked ones. Lazy: only called when the window looks full,
+    /// so steady-state publishes cost no extra metadata traffic.
+    async fn refresh_acks(&self, window: &mut StreamWindow) -> Result<(), ladder::Error> {
+        let kvs = self.ladder.kvs();
+        for (step, path, waiters) in window.entries() {
+            for a in waiters {
+                if kvs
+                    .try_lookup(&ack_key(&path, &a.consumer))
+                    .await?
+                    .is_some()
+                {
+                    window.ack(step, &a.consumer);
+                }
+            }
+        }
+        self.window_stats.borrow_mut().ack_refreshes += 1;
+        Ok(())
+    }
+
+    /// Drop outstanding acks owed by subscribers on crashed nodes (only
+    /// under a fault board, and only with `reclaim_on_crash`).
+    fn reclaim_crashed(&self, window: &mut StreamWindow) {
+        let Some(board) = self.ladder.board() else {
+            return;
+        };
+        if !self.reclaim_on_crash {
+            return;
+        }
+        let reclaimed = window.reclaim_down(|node| !board.node_up(node));
+        if reclaimed > 0 {
+            self.window_stats.borrow_mut().slots_reclaimed += reclaimed;
+        }
+    }
+
+    /// Whether `window` admits another step right now (after
+    /// reclaiming crashed subscribers' slots).
+    fn window_open(&self, window: &mut StreamWindow) -> bool {
+        self.reclaim_crashed(window);
+        window.can_open()
+    }
+
+    /// Block until a full `window` admits another step, recording a
+    /// window stall if it actually waited. Without a fault board the
+    /// publisher parks on the head-of-line ack's KVS watch (no polling);
+    /// with one it polls every [`STALL_POLL`] — the watch could park on
+    /// a key whose committer crashed — reclaiming crashed subscribers'
+    /// slots each sweep.
+    async fn stall(&self, rec: &Recorder, window: &mut StreamWindow) -> Result<(), ladder::Error> {
+        let ctx = self.ladder.ctx();
+        let w = rec.region("stream_window_wait");
+        let t0 = ctx.now();
+        let mut stalled = false;
+        let res = async {
+            loop {
+                self.refresh_acks(window).await?;
+                self.reclaim_crashed(window);
+                if window.can_open() {
+                    return Ok(());
+                }
+                stalled = true;
+                if self.ladder.board().is_some() {
+                    ctx.sleep(STALL_POLL).await;
+                } else {
+                    let (_, path, consumer) =
+                        window.oldest_waiter().expect("full window has a waiter");
+                    let ack = ack_key(&path, &consumer);
+                    self.ladder.kvs().try_wait_key(&ack).await?;
+                }
+            }
+        }
+        .await;
+        if stalled {
+            let mut st = self.window_stats.borrow_mut();
+            st.window_stalls += 1;
+            st.window_stall_ns += (ctx.now() - t0).nanos();
+        }
+        w.end();
+        res
     }
 }
 
@@ -683,7 +635,6 @@ impl StreamService {
 pub struct StreamPublisher {
     svc: Rc<StreamService>,
     window: StreamWindow,
-    faults: Option<FaultBoard>,
 }
 
 impl StreamPublisher {
@@ -692,129 +643,49 @@ impl StreamPublisher {
         &self.window
     }
 
-    /// Sweep the KVS ack keys of every pending step and release the
-    /// fully-acked ones. Lazy: only called when the window looks full,
-    /// so steady-state publishes cost no extra metadata traffic.
-    async fn refresh_acks(&mut self) {
-        for (step, path, waiters) in self.window.entries() {
-            for a in waiters {
-                if self
-                    .svc
-                    .kvs
-                    .lookup(&ack_key(&path, &a.consumer))
-                    .await
-                    .is_some()
-                {
-                    self.window.ack(step, &a.consumer);
-                }
-            }
-        }
-        self.svc.inner.borrow_mut().stats.ack_refreshes += 1;
-    }
-
-    /// Fallible [`StreamPublisher::refresh_acks`] for fault runs.
-    async fn try_refresh_acks(&mut self) -> Result<(), TransportError> {
-        for (step, path, waiters) in self.window.entries() {
-            for a in waiters {
-                if self
-                    .svc
-                    .kvs
-                    .try_lookup(&ack_key(&path, &a.consumer))
-                    .await?
-                    .is_some()
-                {
-                    self.window.ack(step, &a.consumer);
-                }
-            }
-        }
-        self.svc.inner.borrow_mut().stats.ack_refreshes += 1;
-        Ok(())
-    }
-
-    /// Drop outstanding acks owed by subscribers on crashed nodes.
-    fn reclaim_crashed(&mut self) {
-        let Some(board) = &self.faults else {
-            return;
-        };
-        if !self.svc.spec.reclaim_on_crash {
-            return;
-        }
-        let board = board.clone();
-        let reclaimed = self.window.reclaim_down(|node| !board.node_up(node));
-        if reclaimed > 0 {
-            self.svc.inner.borrow_mut().stats.slots_reclaimed += reclaimed;
-        }
-    }
-
-    /// Block until the window admits another step. The infallible path
-    /// parks on the head-of-line ack's KVS watch (no polling); records
-    /// a window stall if it actually waited.
-    async fn await_window(&mut self, rec: &Recorder) {
-        if self.window.can_open() {
-            return;
-        }
-        let w = rec.region("stream_window_wait");
-        let t0 = self.svc.ctx.now();
-        let mut stalled = false;
-        loop {
-            self.refresh_acks().await;
-            if self.window.can_open() {
-                break;
-            }
-            stalled = true;
-            let (_, path, consumer) = self
-                .window
-                .oldest_waiter()
-                .expect("full window has a waiter");
-            self.svc.kvs.wait_key(&ack_key(&path, &consumer)).await;
-        }
-        if stalled {
-            let mut inner = self.svc.inner.borrow_mut();
-            inner.stats.window_stalls += 1;
-            inner.stats.window_stall_ns += (self.svc.ctx.now() - t0).nanos();
-        }
-        w.end();
-    }
-
-    /// Faulted window wait: polls (the watch could park on a key whose
-    /// committer crashed), reclaiming crashed subscribers' slots each
-    /// sweep when `reclaim_on_crash` is set.
-    async fn try_await_window(&mut self, rec: &Recorder) -> Result<(), TransportError> {
-        self.reclaim_crashed();
-        if self.window.can_open() {
-            return Ok(());
-        }
-        let w = rec.region("stream_window_wait");
-        let t0 = self.svc.ctx.now();
-        let mut stalled = false;
-        let res: Result<(), TransportError> = async {
-            loop {
-                self.try_refresh_acks().await?;
-                self.reclaim_crashed();
-                if self.window.can_open() {
-                    return Ok(());
-                }
-                stalled = true;
-                self.svc.ctx.sleep(self.svc.spec.stall_poll).await;
-            }
-        }
-        .await;
-        if stalled {
-            let mut inner = self.svc.inner.borrow_mut();
-            inner.stats.window_stalls += 1;
-            inner.stats.window_stall_ns += (self.svc.ctx.now() - t0).nanos();
-        }
-        w.end();
-        res
-    }
-
     /// Publish step `seq` under logical name `name`: wait for a window
-    /// slot, write to node-local storage, then publish step metadata to
-    /// the KVS. `ackers` are the subscribers whose acks release the
-    /// slot (per-step, so partitioned groups pass only the assignee).
+    /// slot, then run the ladder's produce path (write to node-local
+    /// storage, publish step metadata to the KVS). `ackers` are the
+    /// subscribers whose acks release the slot (per-step, so partitioned
+    /// groups pass only the assignee). `rng` feeds the write-retry
+    /// backoff under a fault board. On failure the slot is recycled, so
+    /// a retry starts clean.
     ///
     /// Call tree: `stream_publish` → { `stream_window_wait`,
     /// `staging_backpressure`, `stream_write`, `stream_commit` }.
+    pub async fn try_publish(
+        &mut self,
+        rec: &Recorder,
+        name: &str,
+        seq: u64,
+        step: &[Bytes],
+        ackers: &[StreamAcker],
+        rng: &mut StdRng,
+    ) -> Result<(), ladder::Error> {
+        let (svc, window) = (&*self.svc, &mut self.window);
+        let gate = async |path: &str| {
+            if !svc.window_open(window) {
+                // Boxed: most publishes find a free slot, and an inline
+                // stall would grow every publisher task by its size.
+                Box::pin(svc.stall(rec, window)).await?;
+            }
+            window.open(seq, path, ackers);
+            Ok(())
+        };
+        let res = svc
+            .ladder
+            .produce(rec, svc.managed_path(name), step, rng, gate)
+            .await;
+        if res.is_err() {
+            // An unwritten or uncommitted step is invisible to
+            // subscribers: no ack will ever arrive for it.
+            self.window.abort(seq);
+        }
+        res
+    }
+
+    /// [`StreamPublisher::try_publish`] for callers that treat a failure
+    /// as a bug.
     pub async fn publish(
         &mut self,
         rec: &Recorder,
@@ -823,135 +694,9 @@ impl StreamPublisher {
         step: Payload,
         ackers: &[StreamAcker],
     ) {
-        let path = self.svc.managed_path(name);
-        let size = transport::payload_len(&step);
-        let g = rec.region("stream_publish");
-        self.await_window(rec).await;
-        self.window.open(seq, &path, ackers);
-        if let Some(st) = &self.svc.staging {
-            if st.would_block(size) {
-                let b = rec.region("staging_backpressure");
-                st.admit(size).await;
-                b.end();
-            }
-        }
-        {
-            let w = rec.region("stream_write");
-            self.svc.write_step(&path, step).await.expect("local write");
-            w.end();
-        }
-        if let Some(st) = &self.svc.staging {
-            st.frame_written(&path, size);
-        }
-        {
-            let c = rec.region("stream_commit");
-            self.svc.ctx.sleep(self.svc.spec.publish_overhead).await;
-            let meta = FrameMeta {
-                owner: self.svc.node,
-                size,
-                location: FrameLocation::Nvme,
-            };
-            self.svc.kvs.commit(&path, meta.encode()).await;
-            c.end();
-        }
-        if let Some(st) = &self.svc.staging {
-            st.frame_published(&path);
-        }
-        g.end();
-        let mut inner = self.svc.inner.borrow_mut();
-        inner.stats.steps_published += 1;
-        inner.stats.bytes_published += size;
-    }
-
-    /// Fallible [`StreamPublisher::publish`] for fault runs: the window
-    /// wait polls with crash reclaim, local writes retry through NVMe
-    /// device-error windows, and the metadata commit retries through
-    /// broker outages. Fails typed once the budget is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    pub async fn try_publish(
-        &mut self,
-        rec: &Recorder,
-        name: &str,
-        seq: u64,
-        step: Payload,
-        ackers: &[StreamAcker],
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-    ) -> Result<(), StreamError> {
-        let path = self.svc.managed_path(name);
-        let size = transport::payload_len(&step);
-        let g = rec.region("stream_publish");
-        // On any error below, `g` drops (closing the region) and the
-        // aborted slot is recycled so the outer retry starts clean.
-        self.try_await_window(rec).await?;
-        self.window.open(seq, &path, ackers);
-        if let Some(st) = &self.svc.staging {
-            if st.would_block(size) {
-                let b = rec.region("staging_backpressure");
-                st.admit(size).await;
-                b.end();
-            }
-        }
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let w = rec.region("stream_write");
-            let res = self.svc.write_step(&path, step.clone()).await;
-            w.end();
-            match res {
-                Ok(()) => break,
-                Err(_) if attempts < policy.max_attempts => {
-                    rec.annotate("produce_retries", 1.0);
-                    let pause = policy.backoff(attempts - 1, rng);
-                    self.svc.ctx.sleep(pause).await;
-                }
-                Err(_) => {
-                    // The step can never appear: publish a Lost
-                    // tombstone (best effort) so subscribers surface a
-                    // typed StepLost instead of parking forever.
-                    let meta = FrameMeta {
-                        owner: self.svc.node,
-                        size,
-                        location: FrameLocation::Lost,
-                    };
-                    let _ = self.svc.kvs.try_commit(&path, meta.encode()).await;
-                    // Nobody will ever ack a lost step; free its slot.
-                    self.window.abort(seq);
-                    g.end();
-                    return Err(StreamError::Storage { path });
-                }
-            }
-        }
-        if let Some(st) = &self.svc.staging {
-            st.frame_written(&path, size);
-        }
-        let commit_res = {
-            let c = rec.region("stream_commit");
-            self.svc.ctx.sleep(self.svc.spec.publish_overhead).await;
-            let meta = FrameMeta {
-                owner: self.svc.node,
-                size,
-                location: FrameLocation::Nvme,
-            };
-            let r = self.svc.kvs.try_commit(&path, meta.encode()).await;
-            c.end();
-            r
-        };
-        if let Err(e) = commit_res {
-            // Uncommitted steps are invisible to subscribers: no ack
-            // will ever arrive, so recycle the slot for the retry.
-            self.window.abort(seq);
-            g.end();
-            return Err(e.into());
-        }
-        if let Some(st) = &self.svc.staging {
-            st.frame_published(&path);
-        }
-        g.end();
-        let mut inner = self.svc.inner.borrow_mut();
-        inner.stats.steps_published += 1;
-        inner.stats.bytes_published += size;
-        Ok(())
+        self.try_publish(rec, name, seq, &step, ackers, &mut StdRng::seed_from_u64(0))
+            .await
+            .expect("stream publish");
     }
 }
 
@@ -963,447 +708,52 @@ impl StreamPublisher {
 /// consumption-ack identity).
 pub struct StreamSubscriber {
     svc: Rc<StreamService>,
-    id: String,
-    warmed: bool,
-    rng: StdRng,
+    session: Session,
 }
 
 impl StreamSubscriber {
     /// The consumption-ack id this session acks with.
     pub fn id(&self) -> &str {
-        &self.id
+        self.session.id()
     }
 
     /// Whether this session has completed its cold first sync.
     pub fn is_warm(&self) -> bool {
-        self.warmed
+        self.session.is_warm()
     }
 
-    /// Consume a step by logical name, returning its payload and
-    /// asynchronously publishing the consumption ack that releases both
-    /// staging retention and the publisher's window slot.
+    /// Consume a step by logical name through the ladder's consume
+    /// path, returning its payload and asynchronously publishing the
+    /// consumption ack that releases both staging retention and the
+    /// publisher's window slot. Fails typed: [`ladder::Error::Lost`] for
+    /// a tombstoned step, or a transport / resolve failure that outlasted
+    /// the retry budget.
     ///
     /// Call tree: `stream_consume` → { `stream_sync`,
     /// `stream_get_data`, `stream_cons_store`, `read_single_buf` }.
-    pub async fn consume_step(&mut self, rec: &Recorder, name: &str) -> Payload {
-        let svc = self.svc.clone();
-        let path = svc.managed_path(name);
-        let g = rec.region("stream_consume");
-
-        // --- Synchronization ------------------------------------------
-        // Local presence first: a flock probe suffices once the
-        // publisher shares our filesystem.
-        let mut data: Option<Payload> = None;
-        if svc.fs.exists(&path) {
-            let f = rec.region("stream_sync");
-            svc.fs
-                .flock(&path, LockKind::Shared)
-                .await
-                .expect("flock on existing file");
-            svc.fs
-                .funlock(&path, LockKind::Shared)
-                .await
-                .expect("funlock");
-            f.end();
-            let r = rec.region("read_single_buf");
-            data = try_read_local(&svc.fs, &path).await;
-            r.end();
-            if data.is_some() {
-                svc.inner.borrow_mut().stats.local_hits += 1;
-                self.warmed = true;
-            }
-        }
-
-        if data.is_none() {
-            // Remote (or evicted) step: resolve the owner through the
-            // KVS rendezvous.
-            let f = rec.region("stream_sync");
-            let mut meta;
-            if self.warmed && svc.spec.warm_sync {
-                match svc.kvs.lookup(&path).await {
-                    Some(v) => {
-                        svc.inner.borrow_mut().stats.warm_syncs += 1;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                    None => {
-                        rec.annotate("cold_fallbacks", 1.0);
-                        svc.inner.borrow_mut().stats.cold_syncs += 1;
-                        let v = svc.kvs.wait_key(&path).await;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                }
-            } else {
-                svc.inner.borrow_mut().stats.cold_syncs += 1;
-                let v = svc.kvs.wait_key(&path).await;
-                meta = FrameMeta::decode(v.value);
-            }
-            f.end();
-            self.warmed = true;
-
-            // --- Data movement ----------------------------------------
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                assert!(
-                    attempts <= 8,
-                    "step {path} unresolvable (evicted mid-consume?)"
-                );
-                match meta.location {
-                    FrameLocation::Lost => {
-                        panic!(
-                            "step {path} lost to a node crash (use try_consume_step under faults)"
-                        );
-                    }
-                    FrameLocation::Pfs => {
-                        let pfs = svc
-                            .staging
-                            .as_ref()
-                            .and_then(|st| st.pfs_client())
-                            .expect("spilled step but no PFS client configured");
-                        let r = rec.region("stream_pfs_fallback");
-                        let got = read_pfs(pfs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            if let Some(st) = &svc.staging {
-                                st.note_pfs_fallback();
-                            }
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == svc.node => {
-                        let r = rec.region("read_single_buf");
-                        let got = try_read_local(&svc.fs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        // RMA fetch from the owner's node-local storage.
-                        let r = rec.region("stream_get_data");
-                        let (_, got) = svc
-                            .ep
-                            .bulk_rpc(
-                                meta.owner,
-                                STREAM_AM,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                            )
-                            .await;
-                        r.end();
-                        if transport::payload_len(&got) > 0 {
-                            if let Some(got) = self.store_cache(rec, &path, got).await {
-                                break got;
-                            }
-                        }
-                    }
-                }
-                let v = svc
-                    .kvs
-                    .lookup(&path)
-                    .await
-                    .unwrap_or_else(|| panic!("step {path} retired before consume"));
-                meta = FrameMeta::decode(v.value);
-            };
-            data = Some(fetched);
-        }
-        let data = data.expect("consume resolved a payload");
-        g.end();
-
-        self.spawn_ack(&path, false);
-
-        let size = transport::payload_len(&data);
-        let mut inner = svc.inner.borrow_mut();
-        inner.stats.steps_consumed += 1;
-        inner.stats.bytes_consumed += size;
-        data
-    }
-
-    /// Fallible [`StreamSubscriber::consume_step`] for fault runs:
-    /// metadata ops ride the retrying KVS client, the RMA fetch retries
-    /// with backoff and falls back to a PFS spill copy when the owner
-    /// is down, `Lost` tombstones surface as [`StreamError::StepLost`],
-    /// and the resolve loop is bounded.
-    pub async fn try_consume_step(
-        &mut self,
-        rec: &Recorder,
+    pub fn try_consume_step<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
         name: &str,
-    ) -> Result<Payload, StreamError> {
-        let svc = self.svc.clone();
-        let path = svc.managed_path(name);
-        let policy = stream_retry_policy();
-        let g = rec.region("stream_consume");
-
-        let mut data: Option<Payload> = None;
-        if svc.fs.exists(&path) {
-            let f = rec.region("stream_sync");
-            let locked = svc.fs.flock(&path, LockKind::Shared).await.is_ok();
-            if locked {
-                let _ = svc.fs.funlock(&path, LockKind::Shared).await;
-            }
-            f.end();
-            if locked {
-                let r = rec.region("read_single_buf");
-                data = try_read_local(&svc.fs, &path).await;
-                r.end();
-                if data.is_some() {
-                    svc.inner.borrow_mut().stats.local_hits += 1;
-                    self.warmed = true;
-                }
-            }
-        }
-
-        if data.is_none() {
-            let meta_res: Result<FrameMeta, StreamError> = {
-                let f = rec.region("stream_sync");
-                let r = if self.warmed && svc.spec.warm_sync {
-                    match svc.kvs.try_lookup(&path).await {
-                        Ok(Some(v)) => {
-                            svc.inner.borrow_mut().stats.warm_syncs += 1;
-                            Ok(FrameMeta::decode(v.value))
-                        }
-                        Ok(None) => {
-                            rec.annotate("cold_fallbacks", 1.0);
-                            svc.inner.borrow_mut().stats.cold_syncs += 1;
-                            svc.kvs
-                                .try_wait_key(&path)
-                                .await
-                                .map(|v| FrameMeta::decode(v.value))
-                                .map_err(StreamError::from)
-                        }
-                        Err(e) => Err(e.into()),
-                    }
-                } else {
-                    svc.inner.borrow_mut().stats.cold_syncs += 1;
-                    svc.kvs
-                        .try_wait_key(&path)
-                        .await
-                        .map(|v| FrameMeta::decode(v.value))
-                        .map_err(StreamError::from)
-                };
-                f.end();
-                r
-            };
-            let mut meta = meta_res?;
-            self.warmed = true;
-
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                if attempts > policy.max_attempts {
-                    return Err(StreamError::Unresolvable {
-                        path,
-                        attempts: attempts - 1,
-                    });
-                }
-                match meta.location {
-                    FrameLocation::Lost => {
-                        return Err(StreamError::StepLost { path });
-                    }
-                    FrameLocation::Pfs => {
-                        if let Some(pfs) = svc.staging.as_ref().and_then(|st| st.pfs_client()) {
-                            let r = rec.region("stream_pfs_fallback");
-                            let got = read_pfs(pfs, &path).await;
-                            r.end();
-                            if let Some(got) = got {
-                                if let Some(st) = &svc.staging {
-                                    st.note_pfs_fallback();
-                                }
-                                break got;
-                            }
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == svc.node => {
-                        let r = rec.region("read_single_buf");
-                        let got = try_read_local(&svc.fs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        let r = rec.region("stream_get_data");
-                        let fetch = svc
-                            .ep
-                            .bulk_rpc_retrying(
-                                meta.owner,
-                                STREAM_AM,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                                &policy,
-                                &mut self.rng,
-                            )
-                            .await;
-                        r.end();
-                        match fetch {
-                            Ok((_, got)) if transport::payload_len(&got) > 0 => {
-                                if let Some(got) = self.try_store_cache(rec, &path, got).await {
-                                    break got;
-                                }
-                            }
-                            Ok(_) => {
-                                // Owner answered but no longer holds the
-                                // step: re-resolve through the KVS.
-                            }
-                            Err(_) => {
-                                // Owner unreachable: try the PFS spill
-                                // copy before waiting out the restart.
-                                rec.annotate("dead_owner_fallbacks", 1.0);
-                                if let Some(pfs) =
-                                    svc.staging.as_ref().and_then(|st| st.pfs_client())
-                                {
-                                    let r = rec.region("stream_pfs_fallback");
-                                    let got = read_pfs(pfs, &path).await;
-                                    r.end();
-                                    if let Some(got) = got {
-                                        if let Some(st) = &svc.staging {
-                                            st.note_pfs_fallback();
-                                        }
-                                        break got;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                let pause = policy.backoff(attempts - 1, &mut self.rng);
-                svc.ctx.sleep(pause).await;
-                match svc.kvs.try_lookup(&path).await {
-                    Ok(Some(v)) => meta = FrameMeta::decode(v.value),
-                    Ok(None) => return Err(StreamError::StepLost { path }),
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            data = Some(fetched);
-        }
-        let data = data.expect("consume resolved a payload");
-        g.end();
-
-        self.spawn_ack(&path, true);
-
-        let size = transport::payload_len(&data);
-        let mut inner = svc.inner.borrow_mut();
-        inner.stats.steps_consumed += 1;
-        inner.stats.bytes_consumed += size;
-        Ok(data)
+    ) -> impl Future<Output = Result<Payload, ladder::Error>> + 'a {
+        let path = self.svc.managed_path(name);
+        self.svc.ladder.consume(rec, &mut self.session, path)
     }
 
-    /// Publish the consumption ack asynchronously: retention and window
-    /// release care, the application does not, so the commit must not
-    /// add to the consume latency. Without a staging manager (bare
-    /// rigs) the ack key is still committed — the publisher's window
-    /// watches it.
-    fn spawn_ack(&self, path: &str, fallible: bool) {
-        let svc = self.svc.clone();
-        let p = path.to_string();
-        let id = self.id.clone();
-        self.svc.ctx.spawn(async move {
-            match &svc.staging {
-                Some(st) if fallible => {
-                    let _ = st.try_publish_ack(&p, &id).await;
-                }
-                Some(st) => st.publish_ack(&p, &id).await,
-                None if fallible => {
-                    let _ = svc
-                        .kvs
-                        .try_commit(&ack_key(&p, &id), Bytes::from_static(b"1"))
-                        .await;
-                }
-                None => {
-                    svc.kvs
-                        .commit(&ack_key(&p, &id), Bytes::from_static(b"1"))
-                        .await;
-                }
-            }
-        });
+    /// [`StreamSubscriber::try_consume_step`] for callers that treat a
+    /// failure as a bug.
+    pub async fn consume_step(&mut self, rec: &Recorder, name: &str) -> Payload {
+        self.try_consume_step(rec, name)
+            .await
+            .expect("stream consume")
     }
-
-    /// Stage a fetched remote step into the local cache and read it
-    /// back (atomic rename publication).
-    async fn store_cache(&self, rec: &Recorder, path: &str, got: Payload) -> Option<Payload> {
-        let svc = &self.svc;
-        let s = rec.region("stream_cons_store");
-        svc.ensure_dirs(path).await;
-        // Session-unique tmp name: same-node sessions of a broadcast
-        // group can fetch the same step concurrently, and create()
-        // truncates, so a shared tmp would interleave their writes.
-        let tmp = format!("{path}.tmp-{}-{}", svc.node.0, self.id);
-        let fd = svc.fs.create(&tmp).await.expect("managed dir");
-        let size = transport::payload_len(&got);
-        for seg in got {
-            svc.fs.write_bytes(fd, seg).await.expect("store");
-        }
-        svc.fs.close(fd).await.expect("close");
-        svc.fs.rename(&tmp, path).await.expect("cache rename");
-        if let Some(st) = &svc.staging {
-            st.cache_inserted(path, size);
-        }
-        s.end();
-        let r = rec.region("read_single_buf");
-        let got = try_read_local(&svc.fs, path).await;
-        r.end();
-        got
-    }
-
-    /// Fallible [`StreamSubscriber::store_cache`]: `None` when the
-    /// cache write failed (device-error window) — the caller
-    /// re-resolves rather than serving a partial step.
-    async fn try_store_cache(&self, rec: &Recorder, path: &str, got: Payload) -> Option<Payload> {
-        let svc = &self.svc;
-        let s = rec.region("stream_cons_store");
-        svc.ensure_dirs(path).await;
-        // Session-unique tmp name: same-node sessions of a broadcast
-        // group can fetch the same step concurrently, and create()
-        // truncates, so a shared tmp would interleave their writes.
-        let tmp = format!("{path}.tmp-{}-{}", svc.node.0, self.id);
-        let size = transport::payload_len(&got);
-        let write: FsResult<()> = async {
-            let fd = svc.fs.create(&tmp).await?;
-            for seg in got {
-                svc.fs.write_bytes(fd, seg).await?;
-            }
-            svc.fs.close(fd).await?;
-            svc.fs.rename(&tmp, path).await?;
-            Ok(())
-        }
-        .await;
-        if write.is_err() {
-            let _ = svc.fs.unlink(&tmp).await;
-            s.end();
-            return None;
-        }
-        if let Some(st) = &svc.staging {
-            st.cache_inserted(path, size);
-        }
-        s.end();
-        let r = rec.region("read_single_buf");
-        let got = try_read_local(&svc.fs, path).await;
-        r.end();
-        got
-    }
-}
-
-/// Read a whole local file; `None` when it vanished (staging eviction
-/// between probe and open).
-async fn try_read_local(fs: &LocalFs, path: &str) -> Option<Payload> {
-    let fd = fs.open(path).await.ok()?;
-    let data = fs.read_segments(fd).await.ok()?;
-    let _ = fs.close(fd).await;
-    Some(data)
-}
-
-/// Read a spilled step's PFS copy; `None` when it is already retired.
-async fn read_pfs(pfs: &PfsClient, path: &str) -> Option<Payload> {
-    let fd = pfs.open(&staging::spill_path(path)).await.ok()?;
-    let data = pfs.read_segments(fd).await.ok()?;
-    let _ = pfs.close(fd).await;
-    Some(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cluster::{Cluster, ClusterSpec};
+    use faults::FaultBoard;
     use kvs::{KvsClient, KvsServer, KvsSpec};
     use localfs::LocalFsSpec;
     use mdsim::{FrameTemplate, Model};
@@ -1419,9 +769,18 @@ mod tests {
     /// n nodes; KVS broker on node 0; stream service + local fs on
     /// every node.
     fn setup(sim: &Sim, n: usize, spec: StreamSpec) -> Rig {
+        setup_on(sim, n, spec, None)
+    }
+
+    /// [`setup`] with `board` attached to the transport before any
+    /// service starts.
+    fn setup_on(sim: &Sim, n: usize, spec: StreamSpec, board: Option<FaultBoard>) -> Rig {
         let ctx = sim.ctx();
         let cl = Cluster::build(&ctx, &ClusterSpec::corona(n));
         let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
+        if let Some(board) = board {
+            tp.set_faults(board);
+        }
         let kvs_server = KvsServer::start(&ctx, &tp, NodeId(0), KvsSpec::default());
         let services = (0..n as u32)
             .map(|i| {
@@ -1607,9 +966,9 @@ mod tests {
             window: 1,
             ..StreamSpec::default()
         };
-        let rig = setup(&sim, 2, spec);
         let ctx = sim.ctx();
         let board = FaultBoard::new(&ctx, 2, 1);
+        let rig = setup_on(&sim, 2, spec, Some(board.clone()));
         let plan = faults::FaultPlan::scheduled(vec![faults::FaultEvent {
             at: SimDuration::from_millis(100),
             kind: faults::FaultKind::NodeCrash {
@@ -1621,16 +980,15 @@ mod tests {
         let prod = rig.services[0].clone();
         let h = sim.spawn(async move {
             let rec = Recorder::new(&ctx);
-            let mut pb = prod.publisher_faulted(board);
-            let policy = stream_retry_policy();
+            let mut pb = prod.publisher();
             let mut rng = StdRng::seed_from_u64(9);
             let (_, f0) = step_payload(0);
-            pb.try_publish(&rec, "r/0", 0, f0, &[acker("c0", 1)], &policy, &mut rng)
+            pb.try_publish(&rec, "r/0", 0, &f0, &[acker("c0", 1)], &mut rng)
                 .await
                 .expect("publish 0");
             ctx.sleep(SimDuration::from_millis(300)).await;
             let (_, f1) = step_payload(1);
-            pb.try_publish(&rec, "r/1", 1, f1, &[acker("c0", 1)], &policy, &mut rng)
+            pb.try_publish(&rec, "r/1", 1, &f1, &[acker("c0", 1)], &mut rng)
                 .await
                 .expect("publish 1");
             ctx.now().as_secs_f64()

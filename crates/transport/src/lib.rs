@@ -658,6 +658,8 @@ impl Endpoint {
 
     /// Bulk RPC with retry; see [`Endpoint::rpc_retrying`]. Payload
     /// segments are zero-copy `Bytes` clones, so re-sending is cheap.
+    /// The retry loop runs boxed, so a fault-free caller's future holds
+    /// only the plain bulk RPC.
     pub async fn bulk_rpc_retrying(
         &self,
         dst: NodeId,
@@ -670,6 +672,18 @@ impl Endpoint {
         if self.tp.faults().is_none() {
             return Ok(self.bulk_rpc(dst, id, header, payload).await);
         }
+        Box::pin(self.bulk_retry_loop(dst, id, header, payload, policy, rng)).await
+    }
+
+    async fn bulk_retry_loop(
+        &self,
+        dst: NodeId,
+        id: AmId,
+        header: Bytes,
+        payload: Payload,
+        policy: &RetryPolicy,
+        rng: &mut StdRng,
+    ) -> Result<(Bytes, Payload), TransportError> {
         let ctx = self.tp.ctx.clone();
         let mut attempts = 0;
         loop {
