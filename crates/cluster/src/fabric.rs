@@ -4,8 +4,7 @@
 //! overhead, a per-hop wire latency, and then streams its payload through
 //! the sender's NIC egress channel and the receiver's NIC ingress channel
 //! simultaneously (the effective rate is the bottleneck of the two,
-//! including contention from other flows on either NIC). RDMA operations
-//! add the request round trip but bypass remote CPU involvement.
+//! including contention from other flows on either NIC).
 //!
 //! Two switch topologies are modeled (see [`TopologySpec`]): the paper's
 //! single non-blocking switch, and a two-tier leaf/spine fabric where
@@ -323,27 +322,6 @@ impl Fabric {
         rx_done.await;
     }
 
-    /// RDMA read: the initiator on `initiator` pulls `bytes` from memory
-    /// on `target`. Pays a request one-way latency, then the payload
-    /// streams target→initiator.
-    pub async fn rdma_read(&self, initiator: NodeId, target: NodeId, bytes: u64) {
-        if initiator == target {
-            self.ctx
-                .sleep(SimDuration::from_secs_f64(bytes as f64 / self.mem_bw))
-                .await;
-            return;
-        }
-        // Request message (header only).
-        self.ctx.sleep(self.base_latency()).await;
-        // Data path back.
-        self.send(target, initiator, bytes).await;
-    }
-
-    /// RDMA write: push `bytes` from `initiator` into memory on `target`.
-    pub async fn rdma_write(&self, initiator: NodeId, target: NodeId, bytes: u64) {
-        self.send(initiator, target, bytes).await;
-    }
-
     /// Egress statistics for a node's NIC.
     pub fn tx_stats(&self, node: NodeId) -> BwStats {
         self.nic(node).tx.stats()
@@ -449,20 +427,6 @@ mod tests {
             let t = h.try_take().unwrap();
             assert!((t - 1.000004).abs() < 1e-6, "took {t}");
         }
-    }
-
-    #[test]
-    fn rdma_read_pays_round_trip() {
-        let sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let f = fabric(&sim, 2);
-        let h = sim.spawn(async move {
-            f.rdma_read(NodeId(0), NodeId(1), 0).await;
-            ctx.now()
-        });
-        sim.run();
-        // Two base latencies: request + response header.
-        assert_eq!(h.try_take().unwrap().nanos(), 2 * (1_000 + 3_000));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Substrate for the DYAD reproduction: a deterministic model of the
 //! paper's testbed (LLNL Corona). A [`Cluster`] is a set of [`Node`]s —
 //! each with cores, GPUs and a node-local [`NvmeDevice`] — joined by a
-//! [`Fabric`] modelling per-NIC bandwidth contention and wire latency,
-//! with RDMA read/write primitives.
+//! [`Fabric`] modelling per-NIC bandwidth contention and wire latency.
 //!
 //! Time costs are charged on `simcore` resources: NVMe read/write
 //! channels and NIC tx/rx ports are processor-sharing bandwidth links, so

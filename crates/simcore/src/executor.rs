@@ -1129,18 +1129,24 @@ impl Ctx {
         let inner: Rc<RefCell<JoinInner<T>>> = Rc::new(RefCell::new(JoinInner {
             value: None,
             waker: None,
-            finished: false,
+            finished_at: None,
         }));
+        // The body gets a box of its own and is polled in place: an
+        // `async move { fut.await }` wrapper would hold it twice (as the
+        // moved-in upvar and as the awaitee), doubling every task's heap.
+        let mut body = Box::pin(fut);
         let inner2 = inner.clone();
-        let wrapped = async move {
-            let value = fut.await;
+        let ctx = self.clone();
+        let wrapped = std::future::poll_fn(move |cx| {
+            let value = std::task::ready!(body.as_mut().poll(cx));
             let mut st = inner2.borrow_mut();
             st.value = Some(value);
-            st.finished = true;
+            st.finished_at = Some(ctx.now());
             if let Some(w) = st.waker.take() {
                 w.wake();
             }
-        };
+            Poll::Ready(())
+        });
         let core = self.core();
         let mut core = core.borrow_mut();
         // The waker needs the packed id, which needs the slot: insert
@@ -1181,23 +1187,6 @@ impl Ctx {
         }
     }
 
-    /// Sleep until the given instant (no-op if already past).
-    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
-        Sleep {
-            core: self.core.clone(),
-            deadline,
-            entry: None,
-        }
-    }
-
-    /// Yield to other runnable processes at the current instant.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow {
-            core: self.core.clone(),
-            polled: false,
-        }
-    }
-
     /// Schedule `f` to run after `d` simulated time, outside any process.
     /// Primarily for event-driven resources. The returned handle cancels
     /// the callback in O(1); it may be dropped freely if cancellation is
@@ -1228,14 +1217,6 @@ impl Ctx {
             slot,
             gen,
         }
-    }
-
-    /// Schedule `f` to run at an absolute instant (clamped to now if it
-    /// is already past), outside any process. The fault-injection layer
-    /// arms its windows with this; see [`Ctx::call_after`] for the
-    /// relative-time form and cancellation semantics.
-    pub fn call_at(&self, at: SimTime, f: impl FnOnce() + 'static) -> TimerHandle {
-        self.call_after(at.since(self.now()), f)
     }
 
     /// Id of the task currently being polled. Only meaningful from
@@ -1384,36 +1365,10 @@ impl Drop for Sleep {
     }
 }
 
-/// Future returned by [`Ctx::yield_now`].
-pub struct YieldNow {
-    core: Weak<RefCell<Core>>,
-    polled: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.polled {
-            return Poll::Ready(());
-        }
-        self.polled = true;
-        let core = self
-            .core
-            .upgrade()
-            .expect("YieldNow polled after Sim was dropped");
-        let mut core = core.borrow_mut();
-        let now = core.now;
-        let task = core.current;
-        core.push_event(now, EventKind::WakeTask(task));
-        let _ = cx;
-        Poll::Pending
-    }
-}
-
 struct JoinInner<T> {
     value: Option<T>,
     waker: Option<Waker>,
-    finished: bool,
+    finished_at: Option<SimTime>,
 }
 
 /// Awaitable handle to a spawned process.
@@ -1424,7 +1379,12 @@ pub struct JoinHandle<T> {
 impl<T> JoinHandle<T> {
     /// True once the process has completed.
     pub fn is_finished(&self) -> bool {
-        self.inner.borrow().finished
+        self.inner.borrow().finished_at.is_some()
+    }
+
+    /// The simulated instant the process completed, once it has.
+    pub fn finished_at(&self) -> Option<SimTime> {
+        self.inner.borrow().finished_at
     }
 
     /// Take the result if the process has completed (non-blocking).
@@ -1441,7 +1401,7 @@ impl<T> Future for JoinHandle<T> {
             return Poll::Ready(v);
         }
         assert!(
-            !st.finished,
+            st.finished_at.is_none(),
             "JoinHandle polled after its value was already taken"
         );
         st.waker = Some(cx.waker().clone());
@@ -1534,6 +1494,23 @@ mod tests {
     }
 
     #[test]
+    fn join_handle_records_finish_instant() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let h = sim.spawn(async move { ctx.sleep(SimDuration::from_micros(7)).await });
+        let idle = sim.spawn(async {});
+        assert_eq!(h.finished_at(), None);
+        sim.run_until(SimTime::from_nanos(5_000));
+        assert!(!h.is_finished());
+        assert_eq!(idle.finished_at(), Some(SimTime::ZERO));
+        sim.run();
+        assert_eq!(h.finished_at(), Some(SimTime::from_nanos(7_000)));
+        // Taking the value keeps the instant.
+        h.try_take().unwrap();
+        assert_eq!(h.finished_at(), Some(SimTime::from_nanos(7_000)));
+    }
+
+    #[test]
     fn join_waits_for_sleeping_child() {
         let sim = Sim::new(0);
         let ctx = sim.ctx();
@@ -1547,29 +1524,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap().nanos(), 3_000_000);
-    }
-
-    #[test]
-    fn yield_now_lets_peers_run() {
-        let sim = Sim::new(0);
-        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
-        {
-            let ctx = sim.ctx();
-            let log = log.clone();
-            sim.spawn(async move {
-                log.borrow_mut().push("a1");
-                ctx.yield_now().await;
-                log.borrow_mut().push("a2");
-            });
-        }
-        {
-            let log = log.clone();
-            sim.spawn(async move {
-                log.borrow_mut().push("b1");
-            });
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), vec!["a1", "b1", "a2"]);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!
 //! * [`Sim`] owns the event calendar and executor; [`Ctx`] is the handle
 //!   processes use to sleep, spawn, and draw random numbers.
-//! * [`sync`] provides simulation-aware channels, semaphores, notifies and
-//!   barriers (zero simulated cost; model real costs explicitly).
+//! * [`sync`] provides simulation-aware channels, semaphores and notifies
+//!   (zero simulated cost; model real costs explicitly).
 //! * [`resource`] provides contended resources: FIFO server pools and
 //!   processor-sharing bandwidth links — the building blocks for NVMe
 //!   devices, NICs, and file-system servers.
-//! * [`stats`] provides Welford accumulators, percentile summaries and
-//!   histograms for the experiment harness.
+//! * [`stats`] provides Welford accumulators and histograms for the
+//!   experiment harness.
 //!
 //! Determinism: given the same seed and the same program, every run
 //! produces the identical event trajectory. All randomness flows through
@@ -47,7 +47,7 @@ pub mod trace;
 pub use combinators::{race, timeout, Either, Race, TimedOut, Timeout};
 pub use executor::{
     splitmix64, CalendarStats, Ctx, JoinHandle, RunReport, ShardStats, Sim, SimArena, SimConfig,
-    Sleep, TimerHandle, YieldNow,
+    Sleep, TimerHandle,
 };
 pub use time::{SimDuration, SimTime};
 

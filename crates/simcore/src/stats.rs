@@ -103,76 +103,6 @@ impl OnlineStats {
     }
 }
 
-/// Five-number-ish summary of a sample, with percentiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    sorted: Vec<f64>,
-    stats: OnlineStats,
-}
-
-impl Summary {
-    /// Build from a sample (NaNs are rejected by assertion).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = samples.to_vec();
-        assert!(
-            sorted.iter().all(|x| !x.is_nan()),
-            "summary cannot contain NaN"
-        );
-        sorted.sort_by(f64::total_cmp);
-        let mut stats = OnlineStats::new();
-        for &s in &sorted {
-            stats.push(s);
-        }
-        Summary { sorted, stats }
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Mean value.
-    pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.stats.std_dev()
-    }
-
-    /// Linear-interpolated percentile, `p` in [0, 100].
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p));
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        if self.sorted.len() == 1 {
-            return self.sorted[0];
-        }
-        let rank = p / 100.0 * (self.sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// Minimum sample.
-    pub fn min(&self) -> f64 {
-        self.sorted.first().copied().unwrap_or(0.0)
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> f64 {
-        self.sorted.last().copied().unwrap_or(0.0)
-    }
-}
-
 /// Fixed-bound histogram with overflow/underflow buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -289,16 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_percentiles() {
-        let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(s.median(), 3.0);
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 5.0);
-        assert_eq!(s.percentile(25.0), 2.0);
-        assert!((s.percentile(90.0) - 4.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_buckets() {
         let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
         for x in [0.5, 1.0, 5.0, 50.0, 500.0] {
@@ -337,19 +257,6 @@ mod tests {
                 a.merge(&b);
                 prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
                 prop_assert!((a.variance() - whole.variance()).abs() / whole.variance().max(1.0) < 1e-6);
-            }
-
-            #[test]
-            fn percentiles_are_monotone(xs in proptest::collection::vec(0f64..1e3, 1..100)) {
-                let s = Summary::from_samples(&xs);
-                let mut last = f64::NEG_INFINITY;
-                for p in 0..=20 {
-                    let v = s.percentile(p as f64 * 5.0);
-                    prop_assert!(v >= last - 1e-9);
-                    last = v;
-                }
-                prop_assert_eq!(s.percentile(0.0), s.min());
-                prop_assert_eq!(s.percentile(100.0), s.max());
             }
 
             #[test]

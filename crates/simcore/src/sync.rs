@@ -18,88 +18,6 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 // ---------------------------------------------------------------------------
-// oneshot
-// ---------------------------------------------------------------------------
-
-/// Create a oneshot channel: a single value, sent once.
-pub fn oneshot<T>() -> (OneSender<T>, OneReceiver<T>) {
-    let st = Rc::new(RefCell::new(OneState {
-        value: None,
-        waker: None,
-        closed: false,
-    }));
-    (OneSender { st: st.clone() }, OneReceiver { st })
-}
-
-struct OneState<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
-    closed: bool,
-}
-
-/// Sending half of a oneshot channel.
-pub struct OneSender<T> {
-    st: Rc<RefCell<OneState<T>>>,
-}
-
-/// Receiving half of a oneshot channel.
-pub struct OneReceiver<T> {
-    st: Rc<RefCell<OneState<T>>>,
-}
-
-/// Error returned when the sending half was dropped without sending.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "oneshot sender dropped without sending")
-    }
-}
-impl std::error::Error for RecvError {}
-
-impl<T> OneSender<T> {
-    /// Deliver the value, waking the receiver. Returns the value back if
-    /// the receiver was dropped.
-    pub fn send(self, value: T) -> Result<(), T> {
-        let mut st = self.st.borrow_mut();
-        if Rc::strong_count(&self.st) == 1 {
-            return Err(value); // receiver gone
-        }
-        st.value = Some(value);
-        if let Some(w) = st.waker.take() {
-            w.wake();
-        }
-        Ok(())
-    }
-}
-
-impl<T> Drop for OneSender<T> {
-    fn drop(&mut self) {
-        let mut st = self.st.borrow_mut();
-        st.closed = true;
-        if let Some(w) = st.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Future for OneReceiver<T> {
-    type Output = Result<T, RecvError>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.st.borrow_mut();
-        if let Some(v) = st.value.take() {
-            return Poll::Ready(Ok(v));
-        }
-        if st.closed {
-            return Poll::Ready(Err(RecvError));
-        }
-        st.waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-// ---------------------------------------------------------------------------
 // mpsc (unbounded)
 // ---------------------------------------------------------------------------
 
@@ -166,11 +84,6 @@ impl<T> Receiver<T> {
     /// been dropped and the queue is drained.
     pub fn recv(&mut self) -> Recv<'_, T> {
         Recv { rx: self }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.st.borrow_mut().queue.pop_front()
     }
 
     /// Number of queued messages.
@@ -521,100 +434,12 @@ impl Drop for Wait {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    notify: Notify,
-}
-
-/// A cyclic barrier for `parties` processes, reusable across generations.
-#[derive(Clone)]
-pub struct Barrier {
-    st: Rc<RefCell<BarrierState>>,
-}
-
-/// Result of [`Barrier::wait`]: exactly one arriving process per generation
-/// is the leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierWaitResult {
-    /// True for the process whose arrival released the barrier.
-    pub is_leader: bool,
-}
-
-impl Barrier {
-    /// Create a barrier for `parties` processes (must be ≥ 1).
-    pub fn new(parties: usize) -> Self {
-        assert!(parties >= 1, "barrier needs at least one party");
-        Barrier {
-            st: Rc::new(RefCell::new(BarrierState {
-                parties,
-                arrived: 0,
-                generation: 0,
-                notify: Notify::new(),
-            })),
-        }
-    }
-
-    /// Arrive and wait for all parties.
-    pub async fn wait(&self) -> BarrierWaitResult {
-        let (generation, leader, notify) = {
-            let mut st = self.st.borrow_mut();
-            st.arrived += 1;
-            if st.arrived == st.parties {
-                st.arrived = 0;
-                st.generation += 1;
-                st.notify.notify_all();
-                return BarrierWaitResult { is_leader: true };
-            }
-            (st.generation, false, st.notify.clone())
-        };
-        let _ = leader;
-        // Wait until the generation advances; a single notify_all releases
-        // everyone from this generation.
-        loop {
-            notify.wait().await;
-            if self.st.borrow().generation > generation {
-                return BarrierWaitResult { is_leader: false };
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::Sim;
     use crate::time::SimDuration;
     use std::cell::Cell;
-
-    #[test]
-    fn oneshot_delivers_value() {
-        let sim = Sim::new(0);
-        let (tx, rx) = oneshot::<u32>();
-        let ctx = sim.ctx();
-        let h = sim.spawn(rx);
-        sim.spawn(async move {
-            ctx.sleep(SimDuration::from_nanos(5)).await;
-            tx.send(9).unwrap();
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), Ok(9));
-    }
-
-    #[test]
-    fn oneshot_sender_drop_errors() {
-        let sim = Sim::new(0);
-        let (tx, rx) = oneshot::<u32>();
-        let h = sim.spawn(rx);
-        drop(tx);
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), Err(RecvError));
-    }
 
     #[test]
     fn channel_fifo_and_close() {
@@ -850,51 +675,5 @@ mod tests {
         });
         assert!(sim.run().is_clean());
         assert_eq!(*order.borrow(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn barrier_releases_all_parties_with_one_leader() {
-        let sim = Sim::new(0);
-        let b = Barrier::new(4);
-        let leaders = Rc::new(Cell::new(0));
-        let released = Rc::new(Cell::new(0));
-        for i in 0..4u64 {
-            let b = b.clone();
-            let ctx = sim.ctx();
-            let leaders = leaders.clone();
-            let released = released.clone();
-            sim.spawn(async move {
-                ctx.sleep(SimDuration::from_nanos(i * 7)).await;
-                let r = b.wait().await;
-                if r.is_leader {
-                    leaders.set(leaders.get() + 1);
-                }
-                released.set(released.get() + 1);
-            });
-        }
-        assert!(sim.run().is_clean());
-        assert_eq!(leaders.get(), 1);
-        assert_eq!(released.get(), 4);
-    }
-
-    #[test]
-    fn barrier_is_reusable_across_generations() {
-        let sim = Sim::new(0);
-        let b = Barrier::new(2);
-        let laps = Rc::new(Cell::new(0));
-        for i in 0..2u64 {
-            let b = b.clone();
-            let ctx = sim.ctx();
-            let laps = laps.clone();
-            sim.spawn(async move {
-                for _ in 0..5 {
-                    ctx.sleep(SimDuration::from_nanos(1 + i)).await;
-                    b.wait().await;
-                    laps.set(laps.get() + 1);
-                }
-            });
-        }
-        assert!(sim.run().is_clean());
-        assert_eq!(laps.get(), 10);
     }
 }

@@ -1,19 +1,22 @@
 //! # transport — UCX-like communication layer
 //!
 //! DYAD's data plane uses UCX; the repro hint notes that Rust UCX bindings
-//! are thin and the paper's testbed is unavailable, so this crate provides
-//! a faithful *protocol-level* model of the UCP tag-matching API on top of
-//! the simulated [`cluster::Fabric`]:
+//! are thin and the paper's testbed is unavailable, so this crate models
+//! the two request kinds the simulator's services issue over the
+//! simulated [`cluster::Fabric`]:
 //!
-//! * **Eager protocol** — payloads at or below the rendezvous threshold
-//!   travel inside the first message.
-//! * **Rendezvous protocol** — larger sends publish an RTS (ready-to-send)
-//!   header; the matching receiver pulls the payload with an RDMA read and
-//!   acknowledges with a FIN, exactly the UCP `rndv` scheme. The sender's
-//!   buffer is held until FIN.
-//! * **Active messages** — a registered handler per `(node, am_id)`
-//!   services request/response RPCs (used by the KVS broker and the
-//!   Lustre-like servers).
+//! * **Control RPCs** ([`Endpoint::rpc`]) — active messages: a handler
+//!   registered per `(node, am_id)` turns a small request into a small
+//!   response (the KVS shards, the Lustre-like MDS and lock server).
+//! * **Bulk RPCs** ([`Endpoint::bulk_rpc`]) — a small header plus an
+//!   out-of-band payload rope in each direction. The wire charges the
+//!   descriptor plus the payload length, as a Lustre `brw` or a UCX
+//!   rendezvous transfer does (DYAD's RDMA fetch, OST reads and writes).
+//!
+//! Both kinds run one request/response attempt. Its fallible form checks
+//! an attached [`FaultBoard`] for reachability at three points, and
+//! [`Endpoint::rpc_retrying`] / [`Endpoint::bulk_rpc_retrying`] share one
+//! retry loop around it. The plain calls never consult the board.
 //!
 //! Payloads are real `bytes::Bytes`, so data integrity can be asserted
 //! end-to-end in tests and analytics runs on the actual frame contents.
@@ -21,7 +24,6 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -31,11 +33,10 @@ use cluster::{Fabric, NodeId};
 use faults::{FaultBoard, RetryPolicy};
 use rand::rngs::StdRng;
 use simcore::intern::FxHashMap;
-use simcore::sync::{oneshot, OneSender};
 use simcore::{timeout, Ctx};
 
-/// Errors surfaced by the fallible RPC paths when a fault board is
-/// attached. Without a board these paths cannot fail.
+/// Errors surfaced by the retrying RPCs when a fault board is attached.
+/// Without a board they cannot fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportError {
     /// The destination node is down, or the link to it is flapped.
@@ -70,10 +71,6 @@ impl std::fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
-
-/// Message tag used for matching sends to receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Tag(pub u64);
 
 /// Identifier of a registered active-message handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,54 +114,94 @@ pub type BulkHandler = Rc<dyn Fn(Bytes, Payload) -> LocalBoxFuture<(Bytes, Paylo
 /// Protocol tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TransportSpec {
-    /// Payloads larger than this use the rendezvous protocol.
-    pub rndv_threshold: u64,
     /// Bytes of protocol header per message on the wire.
     pub header_bytes: u64,
 }
 
 impl Default for TransportSpec {
-    /// UCX defaults on InfiniBand-class fabrics: ~8 KiB rendezvous
-    /// threshold, 64-byte headers.
+    /// UCX default on InfiniBand-class fabrics: 64-byte headers.
     fn default() -> Self {
-        TransportSpec {
-            rndv_threshold: 8192,
-            header_bytes: 64,
-        }
+        TransportSpec { header_bytes: 64 }
     }
 }
 
-/// A send waiting for its matching receive (or vice versa).
-struct PendingSend {
-    src: NodeId,
-    payload: Bytes,
-    /// Completed when the receiver has the data (eager: immediately on
-    /// match; rendezvous: after RDMA read + FIN).
-    done: OneSender<()>,
-}
-
-struct MatchQueues {
-    /// Sends that arrived before a matching receive was posted.
-    unexpected: FxHashMap<Tag, VecDeque<PendingSend>>,
-    /// Receives posted before a matching send arrived.
-    expected: FxHashMap<Tag, VecDeque<OneSender<PendingSend>>>,
-}
-
+#[derive(Default)]
 struct WorkerState {
-    queues: MatchQueues,
     handlers: FxHashMap<AmId, AmHandler>,
     bulk_handlers: FxHashMap<AmId, BulkHandler>,
+}
+
+/// A request kind one attempt carries: how it is counted, how many bytes
+/// past the protocol header it puts on the wire, and which handler table
+/// serves it. A control request is `Bytes`; a bulk request is a
+/// `(header, payload)` pair.
+trait Request {
+    type Response;
+    /// Count the outgoing request; returns its wire bytes past the header.
+    fn count(&self, st: &mut TransportStats) -> u64;
+    /// Look up the handler registered as `(dst, id)` and start it.
+    fn serve(
+        self,
+        w: &RefCell<WorkerState>,
+        dst: NodeId,
+        id: AmId,
+    ) -> LocalBoxFuture<Self::Response>;
+    /// Count the response; returns its wire bytes past the header.
+    fn count_response(resp: &Self::Response, st: &mut TransportStats) -> u64;
+}
+
+impl Request for Bytes {
+    type Response = Bytes;
+    fn count(&self, st: &mut TransportStats) -> u64 {
+        st.rpcs += 1;
+        self.len() as u64
+    }
+    fn serve(self, w: &RefCell<WorkerState>, dst: NodeId, id: AmId) -> LocalBoxFuture<Bytes> {
+        let handler = w
+            .borrow()
+            .handlers
+            .get(&id)
+            .unwrap_or_else(|| panic!("no AM handler {id:?} on {dst}"))
+            .clone();
+        handler(self)
+    }
+    fn count_response(resp: &Bytes, _: &mut TransportStats) -> u64 {
+        resp.len() as u64
+    }
+}
+
+impl Request for (Bytes, Payload) {
+    type Response = (Bytes, Payload);
+    fn count(&self, st: &mut TransportStats) -> u64 {
+        let n = payload_len(&self.1);
+        st.bulk_rpcs += 1;
+        st.bulk_bytes += n;
+        self.0.len() as u64 + n
+    }
+    fn serve(
+        self,
+        w: &RefCell<WorkerState>,
+        dst: NodeId,
+        id: AmId,
+    ) -> LocalBoxFuture<(Bytes, Payload)> {
+        let handler = w
+            .borrow()
+            .bulk_handlers
+            .get(&id)
+            .unwrap_or_else(|| panic!("no bulk handler {id:?} on {dst}"))
+            .clone();
+        handler(self.0, self.1)
+    }
+    fn count_response((header, payload): &(Bytes, Payload), st: &mut TransportStats) -> u64 {
+        let n = payload_len(payload);
+        st.bulk_bytes += n;
+        header.len() as u64 + n
+    }
 }
 
 /// Message counters (whole-transport aggregates).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Eager-protocol sends.
-    pub eager_sends: u64,
-    /// Rendezvous-protocol sends.
-    pub rndv_sends: u64,
-    /// Payload bytes sent through tag messaging.
-    pub tag_bytes: u64,
     /// Control (non-bulk) RPCs issued.
     pub rpcs: u64,
     /// Bulk RPCs issued.
@@ -199,18 +236,7 @@ pub struct Transport {
 impl Transport {
     /// Create a transport spanning every node of `fabric`.
     pub fn new(ctx: &Ctx, fabric: Fabric, spec: TransportSpec) -> Self {
-        let workers = (0..fabric.n_nodes())
-            .map(|_| {
-                RefCell::new(WorkerState {
-                    queues: MatchQueues {
-                        unexpected: FxHashMap::default(),
-                        expected: FxHashMap::default(),
-                    },
-                    handlers: FxHashMap::default(),
-                    bulk_handlers: FxHashMap::default(),
-                })
-            })
-            .collect();
+        let workers = (0..fabric.n_nodes()).map(|_| RefCell::default()).collect();
         Transport {
             ctx: ctx.clone(),
             fabric,
@@ -228,9 +254,9 @@ impl Transport {
         *self.inner.stats.borrow()
     }
 
-    /// Attach a fault board. The fallible RPC paths consult it for
-    /// reachability; the infallible paths are unaffected. Without a board
-    /// the fallible paths reduce to the infallible ones.
+    /// Attach a fault board. The retrying RPCs consult it for
+    /// reachability; the plain RPCs are unaffected. Without a board the
+    /// retrying RPCs reduce to the plain ones.
     pub fn set_faults(&self, board: FaultBoard) {
         *self.inner.faults.borrow_mut() = Some(board);
     }
@@ -334,105 +360,14 @@ impl Endpoint {
         self.node
     }
 
-    /// Send `payload` to `dst` with tag `tag`, completing when the
-    /// receiver has the data (UCX semantics for rendezvous sends).
-    pub async fn tag_send(&self, dst: NodeId, tag: Tag, payload: Bytes) {
-        let spec = self.tp.spec;
-        let len = payload.len() as u64;
-        {
-            let mut st = self.tp.inner.stats.borrow_mut();
-            if len <= spec.rndv_threshold {
-                st.eager_sends += 1;
-            } else {
-                st.rndv_sends += 1;
-            }
-            st.tag_bytes += len;
-        }
-        if len <= spec.rndv_threshold {
-            // Eager: header + payload in one message.
-            self.tp
-                .fabric
-                .send(self.node, dst, spec.header_bytes + len)
-                .await;
-            let (done_tx, done_rx) = oneshot();
-            deliver_send(
-                &self.tp,
-                dst,
-                tag,
-                PendingSend {
-                    src: self.node,
-                    payload,
-                    done: done_tx,
-                },
-            );
-            // Eager sends complete locally once the wire transfer is done;
-            // matching later cannot fail, so don't wait for it.
-            drop(done_rx);
-        } else {
-            // Rendezvous: RTS header now; the receiver RDMA-reads the
-            // payload and FINs. `done` resolves at FIN.
-            self.tp.fabric.send(self.node, dst, spec.header_bytes).await;
-            let (done_tx, done_rx) = oneshot();
-            deliver_send(
-                &self.tp,
-                dst,
-                tag,
-                PendingSend {
-                    src: self.node,
-                    payload,
-                    done: done_tx,
-                },
-            );
-            done_rx.await.expect("receiver side dropped mid-rendezvous");
-        }
-    }
-
-    /// Receive a message sent to this node with tag `tag`. Returns the
-    /// sender and the payload.
-    pub async fn tag_recv(&self, tag: Tag) -> (NodeId, Bytes) {
-        // Check the unexpected queue or park, without holding the worker
-        // borrow across any await.
-        let parked = {
-            let mut w = self.tp.inner.workers[self.node.0 as usize].borrow_mut();
-            match w
-                .queues
-                .unexpected
-                .get_mut(&tag)
-                .and_then(|q| q.pop_front())
-            {
-                Some(p) => Ok(p),
-                None => {
-                    let (tx, rx) = oneshot();
-                    w.queues.expected.entry(tag).or_default().push_back(tx);
-                    Err(rx)
-                }
-            }
-        };
-        let pending = match parked {
-            Ok(p) => p,
-            // Park until a send matches us.
-            Err(rx) => rx.await.expect("transport closed"),
-        };
-        self.complete_recv(pending).await
-    }
-
-    async fn complete_recv(&self, pending: PendingSend) -> (NodeId, Bytes) {
-        let spec = self.tp.spec;
-        let len = pending.payload.len() as u64;
-        if len <= spec.rndv_threshold {
-            // Eager: payload already arrived with the message.
-            let _ = pending.done.send(());
-            (pending.src, pending.payload)
-        } else {
-            // Rendezvous: pull payload via RDMA read, then FIN.
-            self.tp.fabric.rdma_read(self.node, pending.src, len).await;
-            self.tp
-                .fabric
-                .send(self.node, pending.src, spec.header_bytes)
-                .await;
-            let _ = pending.done.send(());
-            (pending.src, pending.payload)
-        }
+    /// Issue a request/response RPC against the handler registered as
+    /// `(dst, id)`. The handler runs on the destination node's worker.
+    /// Control-plane requests are small; the wire charges header plus
+    /// request bytes out and header plus response bytes back.
+    pub async fn rpc(&self, dst: NodeId, id: AmId, request: Bytes) -> Bytes {
+        self.attempt(dst, id, request, None)
+            .await
+            .expect("an attempt with no fault board cannot fail")
     }
 
     /// Issue a bulk request/response RPC: a small `header` plus a
@@ -446,176 +381,15 @@ impl Endpoint {
         header: Bytes,
         payload: Payload,
     ) -> (Bytes, Payload) {
-        let spec = self.tp.spec;
-        {
-            let mut st = self.tp.inner.stats.borrow_mut();
-            st.bulk_rpcs += 1;
-            st.bulk_bytes += payload_len(&payload);
-        }
-        self.tp
-            .fabric
-            .send(
-                self.node,
-                dst,
-                spec.header_bytes + header.len() as u64 + payload_len(&payload),
-            )
-            .await;
-        let handler = {
-            let w = self.tp.inner.workers[dst.0 as usize].borrow();
-            w.bulk_handlers
-                .get(&id)
-                .unwrap_or_else(|| panic!("no bulk handler {id:?} on {dst}"))
-                .clone()
-        };
-        let (resp_header, resp_payload) = handler(header, payload).await;
-        self.tp.inner.stats.borrow_mut().bulk_bytes += payload_len(&resp_payload);
-        self.tp
-            .fabric
-            .send(
-                dst,
-                self.node,
-                spec.header_bytes + resp_header.len() as u64 + payload_len(&resp_payload),
-            )
-            .await;
-        (resp_header, resp_payload)
-    }
-
-    /// Issue a request/response RPC against the handler registered as
-    /// `(dst, id)`. The handler runs on the destination node's worker.
-    pub async fn rpc(&self, dst: NodeId, id: AmId, request: Bytes) -> Bytes {
-        let spec = self.tp.spec;
-        self.tp.inner.stats.borrow_mut().rpcs += 1;
-        // Control-plane requests are small; model as header + payload.
-        self.tp
-            .fabric
-            .send(self.node, dst, spec.header_bytes + request.len() as u64)
-            .await;
-        let handler = {
-            let w = self.tp.inner.workers[dst.0 as usize].borrow();
-            w.handlers
-                .get(&id)
-                .unwrap_or_else(|| panic!("no AM handler {id:?} on {dst}"))
-                .clone()
-        };
-        let response = handler(request).await;
-        self.tp
-            .fabric
-            .send(dst, self.node, spec.header_bytes + response.len() as u64)
-            .await;
-        response
-    }
-
-    /// One fallible RPC attempt. With no fault board attached this is
-    /// exactly [`Endpoint::rpc`] and cannot fail. With a board, the
-    /// destination's reachability is checked before the request goes on
-    /// the wire, after it lands (the node may crash mid-flight), and
-    /// before the response is sent back (a reply lost to a crash still
-    /// leaves the handler's side effects applied, as on real systems).
-    pub async fn try_rpc(
-        &self,
-        dst: NodeId,
-        id: AmId,
-        request: Bytes,
-    ) -> Result<Bytes, TransportError> {
-        let spec = self.tp.spec;
-        let board = self.tp.faults();
-        self.tp.inner.stats.borrow_mut().rpcs += 1;
-        if let Some(b) = &board {
-            if !b.reachable(self.node.0, dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        self.tp
-            .fabric
-            .send(self.node, dst, spec.header_bytes + request.len() as u64)
-            .await;
-        if let Some(b) = &board {
-            if !b.node_up(dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        let handler = {
-            let w = self.tp.inner.workers[dst.0 as usize].borrow();
-            w.handlers
-                .get(&id)
-                .unwrap_or_else(|| panic!("no AM handler {id:?} on {dst}"))
-                .clone()
-        };
-        let response = handler(request).await;
-        if let Some(b) = &board {
-            if !b.reachable(dst.0, self.node.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        self.tp
-            .fabric
-            .send(dst, self.node, spec.header_bytes + response.len() as u64)
-            .await;
-        Ok(response)
-    }
-
-    /// One fallible bulk RPC attempt; see [`Endpoint::try_rpc`].
-    pub async fn try_bulk_rpc(
-        &self,
-        dst: NodeId,
-        id: AmId,
-        header: Bytes,
-        payload: Payload,
-    ) -> Result<(Bytes, Payload), TransportError> {
-        let spec = self.tp.spec;
-        let board = self.tp.faults();
-        {
-            let mut st = self.tp.inner.stats.borrow_mut();
-            st.bulk_rpcs += 1;
-            st.bulk_bytes += payload_len(&payload);
-        }
-        if let Some(b) = &board {
-            if !b.reachable(self.node.0, dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        self.tp
-            .fabric
-            .send(
-                self.node,
-                dst,
-                spec.header_bytes + header.len() as u64 + payload_len(&payload),
-            )
-            .await;
-        if let Some(b) = &board {
-            if !b.node_up(dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        let handler = {
-            let w = self.tp.inner.workers[dst.0 as usize].borrow();
-            w.bulk_handlers
-                .get(&id)
-                .unwrap_or_else(|| panic!("no bulk handler {id:?} on {dst}"))
-                .clone()
-        };
-        let (resp_header, resp_payload) = handler(header, payload).await;
-        self.tp.inner.stats.borrow_mut().bulk_bytes += payload_len(&resp_payload);
-        if let Some(b) = &board {
-            if !b.reachable(dst.0, self.node.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        self.tp
-            .fabric
-            .send(
-                dst,
-                self.node,
-                spec.header_bytes + resp_header.len() as u64 + payload_len(&resp_payload),
-            )
-            .await;
-        Ok((resp_header, resp_payload))
+        self.attempt(dst, id, (header, payload), None)
+            .await
+            .expect("an attempt with no fault board cannot fail")
     }
 
     /// RPC with retry: exponential backoff with jitter between attempts
     /// and a per-attempt timeout, per `policy`. With no fault board
-    /// attached this is a single infallible [`Endpoint::rpc`] — no timer
-    /// is armed and `rng` is not drawn, so healthy-path trajectories are
+    /// attached this is a single plain [`Endpoint::rpc`] — no timer is
+    /// armed and `rng` is not drawn, so healthy-path trajectories are
     /// unchanged.
     pub async fn rpc_retrying(
         &self,
@@ -625,41 +399,14 @@ impl Endpoint {
         policy: &RetryPolicy,
         rng: &mut StdRng,
     ) -> Result<Bytes, TransportError> {
-        if self.tp.faults().is_none() {
-            return Ok(self.rpc(dst, id, request).await);
-        }
-        let ctx = self.tp.ctx.clone();
-        let mut attempts = 0;
-        loop {
-            let attempt_fut = self.try_rpc(dst, id, request.clone());
-            let outcome = match timeout(&ctx, policy.attempt_timeout, attempt_fut).await {
-                Ok(Ok(resp)) => return Ok(resp),
-                Ok(Err(e)) => e,
-                Err(_) => TransportError::Timeout { node: dst },
-            };
-            attempts += 1;
-            if attempts >= policy.max_attempts {
-                self.tp.inner.stats.borrow_mut().rpc_giveups += 1;
-                let _ = outcome;
-                return Err(TransportError::Exhausted {
-                    node: dst,
-                    attempts,
-                });
-            }
-            let pause = policy.backoff(attempts - 1, rng);
-            {
-                let mut st = self.tp.inner.stats.borrow_mut();
-                st.rpc_retries += 1;
-                st.retry_backoff_ns += pause.nanos();
-            }
-            ctx.sleep(pause).await;
-        }
+        let Some(board) = self.tp.faults() else {
+            return self.attempt(dst, id, request, None).await;
+        };
+        Box::pin(self.retry_loop(dst, id, request, board, policy, rng)).await
     }
 
     /// Bulk RPC with retry; see [`Endpoint::rpc_retrying`]. Payload
     /// segments are zero-copy `Bytes` clones, so re-sending is cheap.
-    /// The retry loop runs boxed, so a fault-free caller's future holds
-    /// only the plain bulk RPC.
     pub async fn bulk_rpc_retrying(
         &self,
         dst: NodeId,
@@ -669,34 +416,68 @@ impl Endpoint {
         policy: &RetryPolicy,
         rng: &mut StdRng,
     ) -> Result<(Bytes, Payload), TransportError> {
-        if self.tp.faults().is_none() {
-            return Ok(self.bulk_rpc(dst, id, header, payload).await);
-        }
-        Box::pin(self.bulk_retry_loop(dst, id, header, payload, policy, rng)).await
+        let Some(board) = self.tp.faults() else {
+            return self.attempt(dst, id, (header, payload), None).await;
+        };
+        Box::pin(self.retry_loop(dst, id, (header, payload), board, policy, rng)).await
     }
 
-    async fn bulk_retry_loop(
+    /// One request/response attempt, shared by control and bulk RPCs.
+    /// With a `board`, the destination's reachability is checked before
+    /// the request goes on the wire, after it lands (the node may crash
+    /// mid-flight), and before the response is sent back (a reply lost
+    /// to a crash still leaves the handler's side effects applied, as on
+    /// real systems). With no board it cannot fail.
+    async fn attempt<R: Request>(
         &self,
         dst: NodeId,
         id: AmId,
-        header: Bytes,
-        payload: Payload,
+        request: R,
+        board: Option<&FaultBoard>,
+    ) -> Result<R::Response, TransportError> {
+        let header = self.tp.spec.header_bytes;
+        let lost = TransportError::Unreachable { node: dst };
+        let out = request.count(&mut self.tp.inner.stats.borrow_mut());
+        if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
+            return Err(lost);
+        }
+        self.tp.fabric.send(self.node, dst, header + out).await;
+        if board.is_some_and(|b| !b.node_up(dst.0)) {
+            return Err(lost);
+        }
+        let response = request
+            .serve(&self.tp.inner.workers[dst.0 as usize], dst, id)
+            .await;
+        let back = R::count_response(&response, &mut self.tp.inner.stats.borrow_mut());
+        if board.is_some_and(|b| !b.reachable(dst.0, self.node.0)) {
+            return Err(lost);
+        }
+        self.tp.fabric.send(dst, self.node, header + back).await;
+        Ok(response)
+    }
+
+    /// The retry loop behind both retrying RPCs: attempts under a
+    /// per-attempt timeout, with backoff between them, until one
+    /// succeeds or `policy.max_attempts` have failed.
+    async fn retry_loop<R: Request + Clone>(
+        &self,
+        dst: NodeId,
+        id: AmId,
+        request: R,
+        board: FaultBoard,
         policy: &RetryPolicy,
         rng: &mut StdRng,
-    ) -> Result<(Bytes, Payload), TransportError> {
+    ) -> Result<R::Response, TransportError> {
         let ctx = self.tp.ctx.clone();
         let mut attempts = 0;
         loop {
-            let attempt_fut = self.try_bulk_rpc(dst, id, header.clone(), payload.clone());
-            let outcome = match timeout(&ctx, policy.attempt_timeout, attempt_fut).await {
-                Ok(Ok(resp)) => return Ok(resp),
-                Ok(Err(e)) => e,
-                Err(_) => TransportError::Timeout { node: dst },
-            };
+            let attempt = self.attempt(dst, id, request.clone(), Some(&board));
+            if let Ok(Ok(response)) = timeout(&ctx, policy.attempt_timeout, attempt).await {
+                return Ok(response);
+            }
             attempts += 1;
             if attempts >= policy.max_attempts {
                 self.tp.inner.stats.borrow_mut().rpc_giveups += 1;
-                let _ = outcome;
                 return Err(TransportError::Exhausted {
                     node: dst,
                     attempts,
@@ -711,26 +492,6 @@ impl Endpoint {
             ctx.sleep(pause).await;
         }
     }
-}
-
-/// Route an arrived send to a parked receive, or queue it as unexpected.
-fn deliver_send(tp: &Transport, dst: NodeId, tag: Tag, pending: PendingSend) {
-    let mut w = tp.inner.workers[dst.0 as usize].borrow_mut();
-    // Skip receives whose futures were dropped (send() returns Err).
-    let mut pending = pending;
-    if let Some(q) = w.queues.expected.get_mut(&tag) {
-        while let Some(rx) = q.pop_front() {
-            match rx.send(pending) {
-                Ok(()) => return,
-                Err(p) => pending = p,
-            }
-        }
-    }
-    w.queues
-        .unexpected
-        .entry(tag)
-        .or_default()
-        .push_back(pending);
 }
 
 #[cfg(test)]
@@ -743,114 +504,6 @@ mod tests {
         let ctx = sim.ctx();
         let cl = Cluster::build(&ctx, &ClusterSpec::corona(n));
         Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default())
-    }
-
-    #[test]
-    fn eager_send_recv_roundtrip() {
-        let sim = Sim::new(0);
-        let tp = setup(&sim, 2);
-        let data = Bytes::from_static(b"hello world");
-        let rx_ep = tp.endpoint(NodeId(1));
-        let h = sim.spawn(async move { rx_ep.tag_recv(Tag(7)).await });
-        let tx_ep = tp.endpoint(NodeId(0));
-        let d2 = data.clone();
-        sim.spawn(async move { tx_ep.tag_send(NodeId(1), Tag(7), d2).await });
-        sim.run();
-        let (src, got) = h.try_take().unwrap();
-        assert_eq!(src, NodeId(0));
-        assert_eq!(got, data);
-    }
-
-    #[test]
-    fn rendezvous_used_for_large_payloads() {
-        let sim = Sim::new(0);
-        let tp = setup(&sim, 2);
-        let payload = Bytes::from(vec![0xAB; 1_000_000]); // 1 MB > 8 KiB
-        let rx_ep = tp.endpoint(NodeId(1));
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let (_, data) = rx_ep.tag_recv(Tag(1)).await;
-            (ctx.now().as_secs_f64(), data.len())
-        });
-        let tx_ep = tp.endpoint(NodeId(0));
-        sim.spawn(async move { tx_ep.tag_send(NodeId(1), Tag(1), payload).await });
-        sim.run();
-        let (t, len) = h.try_take().unwrap();
-        assert_eq!(len, 1_000_000);
-        // At least the payload streaming time at 4 GB/s (~250 µs).
-        assert!(t >= 0.000250, "took {t}");
-        // And well under a millisecond (no pathological serialization).
-        assert!(t < 0.001, "took {t}");
-    }
-
-    #[test]
-    fn unexpected_messages_queue_until_recv_posted() {
-        let sim = Sim::new(0);
-        let tp = setup(&sim, 2);
-        let tx_ep = tp.endpoint(NodeId(0));
-        sim.spawn(async move {
-            tx_ep
-                .tag_send(NodeId(1), Tag(3), Bytes::from_static(b"x"))
-                .await;
-        });
-        let rx_ep = tp.endpoint(NodeId(1));
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            ctx.sleep(SimDuration::from_millis(10)).await; // post late
-            rx_ep.tag_recv(Tag(3)).await.1
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), Bytes::from_static(b"x"));
-    }
-
-    #[test]
-    fn different_tags_do_not_match() {
-        let sim = Sim::new(0);
-        let tp = setup(&sim, 2);
-        let got_wrong = Rc::new(std::cell::Cell::new(false));
-        {
-            let rx_ep = tp.endpoint(NodeId(1));
-            let got_wrong = got_wrong.clone();
-            sim.spawn(async move {
-                rx_ep.tag_recv(Tag(99)).await;
-                got_wrong.set(true);
-            });
-        }
-        let tx_ep = tp.endpoint(NodeId(0));
-        sim.spawn(async move {
-            tx_ep
-                .tag_send(NodeId(1), Tag(1), Bytes::from_static(b"y"))
-                .await;
-        });
-        let report = sim.run();
-        assert!(!got_wrong.get());
-        assert_eq!(report.deadlocked_tasks, 1); // the Tag(99) recv never matches
-    }
-
-    #[test]
-    fn sends_matched_in_fifo_order() {
-        let sim = Sim::new(0);
-        let tp = setup(&sim, 2);
-        for i in 0..3u8 {
-            let ep = tp.endpoint(NodeId(0));
-            let ctx = sim.ctx();
-            sim.spawn(async move {
-                ctx.sleep(SimDuration::from_micros(i as u64 * 100)).await;
-                ep.tag_send(NodeId(1), Tag(5), Bytes::from(vec![i])).await;
-            });
-        }
-        let rx_ep = tp.endpoint(NodeId(1));
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            ctx.sleep(SimDuration::from_millis(1)).await;
-            let mut got = Vec::new();
-            for _ in 0..3 {
-                got.push(rx_ep.tag_recv(Tag(5)).await.1[0]);
-            }
-            got
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -919,22 +572,36 @@ mod tests {
         assert!(h.try_take().unwrap() < 100);
     }
 
+    /// A bulk handler that records the payload it received and replies
+    /// with an empty one.
+    fn sink_handler(got: Rc<RefCell<Vec<Bytes>>>) -> BulkHandler {
+        Rc::new(move |_h, p| {
+            got.borrow_mut().push(flatten_payload(p));
+            Box::pin(async move { (Bytes::new(), Payload::new()) })
+                as LocalBoxFuture<(Bytes, Payload)>
+        })
+    }
+
     #[test]
-    fn payload_integrity_through_rendezvous() {
+    fn payload_integrity_through_bulk_rpc() {
         let sim = Sim::new(0);
         let tp = setup(&sim, 2);
-        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let expect = payload.clone();
-        let rx_ep = tp.endpoint(NodeId(1));
-        let h = sim.spawn(async move { rx_ep.tag_recv(Tag(9)).await.1 });
-        let tx_ep = tp.endpoint(NodeId(0));
+        let got: Rc<RefCell<Vec<Bytes>>> = Rc::default();
+        tp.register_bulk(NodeId(1), AmId(9), sink_handler(got.clone()));
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let expect = Bytes::from(data);
+        // A three-segment rope arrives as the same bytes, in order.
+        let rope = vec![
+            expect.slice(..10),
+            expect.slice(10..60_000),
+            expect.slice(60_000..),
+        ];
+        let ep = tp.endpoint(NodeId(0));
         sim.spawn(async move {
-            tx_ep
-                .tag_send(NodeId(1), Tag(9), Bytes::from(payload))
-                .await;
+            ep.bulk_rpc(NodeId(1), AmId(9), Bytes::new(), rope).await;
         });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), Bytes::from(expect));
+        assert!(sim.run().is_clean());
+        assert_eq!(*got.borrow(), vec![expect]);
     }
 
     #[test]
@@ -953,17 +620,8 @@ mod tests {
                 Box::pin(async move { (Bytes::new(), p) }) as LocalBoxFuture<(Bytes, Payload)>
             }),
         );
-        let rx_ep = tp.endpoint(NodeId(1));
-        sim.spawn(async move {
-            rx_ep.tag_recv(Tag(1)).await;
-            rx_ep.tag_recv(Tag(2)).await;
-        });
         let ep = tp.endpoint(NodeId(0));
         sim.spawn(async move {
-            ep.tag_send(NodeId(1), Tag(1), Bytes::from(vec![0u8; 100]))
-                .await;
-            ep.tag_send(NodeId(1), Tag(2), Bytes::from(vec![0u8; 100_000]))
-                .await;
             ep.rpc(NodeId(1), AmId(9), Bytes::new()).await;
             ep.bulk_rpc(
                 NodeId(1),
@@ -975,9 +633,6 @@ mod tests {
         });
         assert!(sim.run().is_clean());
         let st = tp.stats();
-        assert_eq!(st.eager_sends, 1);
-        assert_eq!(st.rndv_sends, 1);
-        assert_eq!(st.tag_bytes, 100_100);
         assert_eq!(st.rpcs, 1);
         assert_eq!(st.bulk_rpcs, 1);
         // 500 request + 500 echoed response.
@@ -985,29 +640,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_rendezvous_transfers_share_links() {
+    fn concurrent_bulk_transfers_share_links() {
         // Two large transfers from the same source node must take about
         // twice as long as one (tx port is the bottleneck).
         let sim = Sim::new(0);
         let tp = setup(&sim, 3);
         let mut hs = Vec::new();
         for dst in [1u32, 2u32] {
-            let rx_ep = tp.endpoint(NodeId(dst));
+            tp.register_bulk(NodeId(dst), AmId(dst), sink_handler(Rc::default()));
+            let ep = tp.endpoint(NodeId(0));
             let ctx = sim.ctx();
             hs.push(sim.spawn(async move {
-                rx_ep.tag_recv(Tag(dst as u64)).await;
+                let payload = vec![Bytes::from(vec![0u8; 400_000_000])];
+                ep.bulk_rpc(NodeId(dst), AmId(dst), Bytes::new(), payload)
+                    .await;
                 ctx.now().as_secs_f64()
             }));
-            let tx_ep = tp.endpoint(NodeId(0));
-            sim.spawn(async move {
-                tx_ep
-                    .tag_send(
-                        NodeId(dst),
-                        Tag(dst as u64),
-                        Bytes::from(vec![0u8; 400_000_000]),
-                    )
-                    .await;
-            });
         }
         sim.run();
         for h in hs {
@@ -1168,5 +816,67 @@ mod tests {
         assert_eq!(t_a1, t_a2);
         assert_eq!(st_a1, st_a2);
         assert_ne!(t_a1, t_b, "different seeds should jitter differently");
+    }
+
+    #[test]
+    fn plain_rpcs_ignore_an_armed_board_that_retrying_rpcs_obey() {
+        // Node 1 is down for the whole run. The plain calls never consult
+        // the board and complete; the retrying calls spend every attempt
+        // on the first reachability check and give up typed.
+        let sim = Sim::new(5);
+        let ctx = sim.ctx();
+        let tp = setup(&sim, 2);
+        tp.register_am(NodeId(1), AmId(1), echo_handler());
+        tp.register_bulk(
+            NodeId(1),
+            AmId(2),
+            Rc::new(|h, p| Box::pin(async move { (h, p) }) as LocalBoxFuture<(Bytes, Payload)>),
+        );
+        let board = FaultBoard::new(&ctx, 2, 0);
+        tp.set_faults(board.clone());
+        board.arm(&FaultPlan::scheduled(vec![FaultEvent {
+            at: SimDuration::from_nanos(0),
+            kind: FaultKind::NodeCrash {
+                node: 1,
+                down_for: SimDuration::from_secs(3600),
+            },
+        }]));
+        let policy = RetryPolicy::transport_default();
+        let max = policy.max_attempts;
+        let frame = || vec![Bytes::from_static(b"frame")];
+        let ep = tp.endpoint(NodeId(0));
+        let h = sim.spawn(async move {
+            let plain = ep.rpc(NodeId(1), AmId(1), Bytes::from_static(b"hi")).await;
+            let (_, plain_bulk) = ep.bulk_rpc(NodeId(1), AmId(2), Bytes::new(), frame()).await;
+            let mut rng = StdRng::seed_from_u64(6);
+            let retried = ep
+                .rpc_retrying(NodeId(1), AmId(1), Bytes::new(), &policy, &mut rng)
+                .await;
+            let retried_bulk = ep
+                .bulk_rpc_retrying(NodeId(1), AmId(2), Bytes::new(), frame(), &policy, &mut rng)
+                .await
+                .map(|(_, p)| p);
+            (plain, plain_bulk, retried, retried_bulk)
+        });
+        assert!(sim.run().is_clean());
+        let (plain, plain_bulk, retried, retried_bulk) = h.try_take().unwrap();
+        assert_eq!(plain, Bytes::from_static(b"hi"));
+        assert_eq!(plain_bulk, frame());
+        let exhausted = TransportError::Exhausted {
+            node: NodeId(1),
+            attempts: max,
+        };
+        assert_eq!(retried, Err(exhausted));
+        assert_eq!(retried_bulk, Err(exhausted));
+        let st = tp.stats();
+        // Every attempt is counted before its first reachability check.
+        assert_eq!(st.rpcs, 1 + max as u64);
+        assert_eq!(st.bulk_rpcs, 1 + max as u64);
+        // The plain bulk RPC moves the frame both ways; each failed
+        // attempt counts its request only.
+        assert_eq!(st.bulk_bytes, (2 + max as u64) * 5);
+        assert_eq!(st.rpc_retries, 2 * (max as u64 - 1));
+        assert_eq!(st.rpc_giveups, 2);
+        assert!(st.retry_backoff_ns > 0);
     }
 }
